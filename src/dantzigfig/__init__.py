@@ -19,9 +19,7 @@ from .grevlex_family import (
 )
 from .grlex_family import (
     GrlexInstance,
-    InvalidTheta,
     RequiresStrictTheta,
-    UnsupportedDimension,
     grlex_coloring,
     grlex_coloring_relaxed,
     grlex_edges,
@@ -45,7 +43,6 @@ from .oracle import (
     facet_irredundancy,
     hull_vertices_by_basis,
     verify_hull_equivalence,
-    worker_count,
 )
 from .orders import (
     LengthMismatch,
@@ -60,9 +57,11 @@ from .polytope_core import (
     HRep,
     IncidenceMatrix,
     InfeasibleVertex,
+    InvalidTheta,
     NonSimplicialCone,
     TangentCone,
     UnknownLabel,
+    UnsupportedDimension,
     VRep,
     VertexLabel,
     adjacency_from_incidence,

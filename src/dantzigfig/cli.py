@@ -17,6 +17,8 @@ from . import grlex_family as gl
 from . import oracle
 from . import polytope_graph as pg
 from .polytope_core import (
+    InvalidTheta,
+    UnsupportedDimension,
     VertexLabel,
     cone_cover_test,
     dantzig_hrep,
@@ -515,13 +517,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
         return args.func(args)
-    except (
-        CLIError,
-        gl.InvalidTheta,
-        gl.UnsupportedDimension,
-        gv.InvalidTheta,
-        gv.UnsupportedDimension,
-    ) as exc:
+    except (CLIError, InvalidTheta, UnsupportedDimension) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (oracle.BudgetExceeded, pg.TooLarge) as exc:

@@ -1,21 +1,21 @@
-"""Brute-force ground truth, independent of the closed-form constructions.
+"""Ground truth independent of the closed-form constructions.
 
 Two oracles: (1) direct enumeration of the lattice initial segment inside
 the simplex sum(x) <= b, with membership decided by two separate routes
 that are cross-checked point by point; (2) vertex enumeration of an HRep
-by exhaustive d-row basis solves. Both are deliberately naive — they
-exist to catch errors in the clever code, not to be fast.
+by double description (Motzkin et al. 1953; Fukuda & Prodon 1996) in exact
+integer arithmetic. Both read only theta or the numeric rows, never a
+closed form, so they catch errors in the clever code.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
-from math import comb, gcd as _gcd
+from functools import cached_property
+from math import comb, gcd
 
+from .exactmath import Matrix, invert, primitive_row, rank_of_rows
 from .orders import Ordering, OrderKind, compare_lex, is_initial_segment_member
 from .polytope_core import HRep
 
@@ -42,8 +42,12 @@ class LatticeSegment:
     def __len__(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.points)
+
     def __contains__(self, x) -> bool:
-        return tuple(x) in set(self.points)
+        return tuple(x) in self._members
 
 
 def _simplex_points(d: int, budget: int):
@@ -95,7 +99,7 @@ def enumerate_segment(
 
 @dataclass(frozen=True)
 class BasisVertexSet:
-    """Vertices found by basis enumeration, with their tight row indices."""
+    """Vertices of an HRep in sorted order, with their tight row indices."""
 
     coords: tuple[tuple[Fraction, ...], ...]
     tight_rows: tuple[tuple[int, ...], ...]
@@ -107,197 +111,104 @@ class BasisVertexSet:
         return frozenset(self.coords)
 
 
-def worker_count() -> int:
-    """Worker processes for the basis scan; DANTZIG_SEED_THREADS, default 1."""
-    raw = os.environ.get("DANTZIG_SEED_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _extreme_rays(h: HRep) -> list[tuple[tuple[int, ...], int]]:
+    """Extreme rays of the cone {(x,t) : a·x - beta·t <= 0 per row, t >= 0}.
 
-
-def _int_solve(aug, s):
-    """Solve an s x (s+1) integer augmented system in place.
-
-    Fraction-free Bareiss elimination with row pivoting, then a Fraction
-    back-substitution. Returns a list of Fractions or None if singular.
+    Incremental double description: start from the simplicial cone of d+1
+    linearly independent rows (t >= 0 first), then cut with the remaining
+    rows one at a time. Rays are primitive integer vectors; each carries the
+    bitmask of processed rows it is tight on (bit 0 is t >= 0, bit i+1 is
+    row i of h). A (+,-) pair makes a new ray only if it passes the
+    combinatorial adjacency test: no third ray is tight on every row on
+    which both rays of the pair are tight. Raises UnboundedSuspected when
+    the rows have rank below d+1, i.e. the polyhedron contains a line.
     """
-    prev = 1
-    for k in range(s):
-        piv = next((r for r in range(k, s) if aug[r][k]), None)
-        if piv is None:
-            return None
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        pk = aug[k][k]
-        rowk = aug[k]
-        for r in range(k + 1, s):
-            rowr = aug[r]
-            ark = rowr[k]
-            for c in range(k + 1, s + 1):
-                rowr[c] = (pk * rowr[c] - ark * rowk[c]) // prev
-            rowr[k] = 0
-        prev = pk
-    xs: list = [None] * s
-    for k in range(s - 1, -1, -1):
-        acc = Fraction(aug[k][s])
-        for c in range(k + 1, s):
-            acc -= aug[k][c] * xs[c]
-        xs[k] = acc / aug[k][k]
-    return xs
-
-
-def _scan_chunk(payload):
-    """Scan a slice of the d-row bases; returns the feasible solutions.
-
-    Rows with a single nonzero coefficient pin their coordinate outright,
-    so bases containing many coordinate planes reduce to tiny integer
-    solves. Candidate points are deduplicated before the (relatively
-    costly) feasibility check.
-    """
-    normals, rhs, d, start, stop = payload
-    m = len(normals)
-    singles = {}
-    for i, row in enumerate(normals):
-        nz = [c for c in range(d) if row[c]]
-        if len(nz) == 1:
-            singles[i] = (nz[0], Fraction(rhs[i], row[nz[0]]))
-    checked: dict[tuple, bool] = {}
-    found = set()
-    for idxs in islice(combinations(range(m), d), start, stop):
-        fixed = {}
-        general = []
-        for i in idxs:
-            pin = singles.get(i)
-            if pin is None:
-                general.append(i)
-            elif pin[0] in fixed:
-                fixed = None  # two rows pin one coordinate: singular basis
-                break
-            else:
-                fixed[pin[0]] = pin[1]
-        if fixed is None:
-            continue
-        free = [c for c in range(d) if c not in fixed]
-        if free:
-            aug = []
-            for i in general:
-                r = rhs[i]
-                for c, val in fixed.items():
-                    if val and normals[i][c]:
-                        r = r - normals[i][c] * val
-                den = r.denominator
-                aug.append([normals[i][c] * den for c in free] + [r.numerator])
-            sol = _int_solve(aug, len(free))
-            if sol is None:
-                continue
-            point = dict(fixed)
-            point.update(zip(free, sol))
-            x = tuple(point[c] for c in range(d))
-        elif general:
-            continue  # overdetermined pins leave no room for dense rows
-        else:
-            x = tuple(fixed[c] for c in range(d))
-        feasible = checked.get(x)
-        if feasible is None:
-            den = 1
-            for v in x:
-                den = den * v.denominator // _gcd(den, v.denominator)
-            nums = [int(v * den) for v in x]
-            feasible = all(
-                sum(a * nv for a, nv in zip(row, nums) if a) <= beta * den
-                for row, beta in zip(normals, rhs)
-            )
-            checked[x] = feasible
-        if feasible:
-            found.add(x)
-    return found
-
-
-def _recession_ray(h: HRep):
-    """A nonzero axis direction y with Ay <= 0, if one exists."""
-    for c in range(h.dim):
-        for sign in (-1, 1):
-            if all(sign * row[c] <= 0 for row in h.normals):
-                ray = [0] * h.dim
-                ray[c] = sign
-                return tuple(ray)
-    return None
-
-
-def _bounded_certificate(h: HRep) -> bool:
-    coord_planes = set()
-    has_positive_row = False
-    for row in h.normals:
-        nz = [c for c in range(h.dim) if row[c] != 0]
-        if len(nz) == 1 and row[nz[0]] < 0:
-            coord_planes.add(nz[0])
-        if all(a > 0 for a in row):
-            has_positive_row = True
-    return coord_planes == set(range(h.dim)) and has_positive_row
-
-
-def hull_vertices_by_basis(h: HRep, workers: int | None = None) -> BasisVertexSet:
-    """All vertices of {x : Ax <= beta} by solving every d-row basis.
-
-    Boundedness is certified structurally (all coordinate planes plus an
-    all-positive row); failing that, an axis-aligned recession ray raises
-    UnboundedSuspected, and absent such a ray the scan proceeds anyway.
-    Set DANTZIG_SEED_THREADS > 1 to spread the scan over processes.
-    """
-    if not _bounded_certificate(h) and _recession_ray(h) is not None:
-        raise UnboundedSuspected(f"recession ray {_recession_ray(h)}")
     d = h.dim
-    m = len(h.normals)
-    normals = tuple(tuple(row) for row in h.normals)
-    rhs = tuple(h.rhs)
-    total = comb(m, d) if m >= d else 0
-    workers = worker_count() if workers is None else max(1, int(workers))
-    found: set = set()
-    if workers > 1 and total > 0:
-        step = -(-total // (workers * 4))
-        payloads = [
-            (normals, rhs, d, start, min(start + step, total))
-            for start in range(0, total, step)
-        ]
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_scan_chunk, payloads, timeout=600):
-                    found |= part
-        except Exception:
-            found = _scan_chunk((normals, rhs, d, 0, total))
+    rows = [(0,) * d + (-1,)] + [
+        tuple(a * beta.denominator for a in normal) + (-beta.numerator,)
+        for normal, beta in h.rows()
+    ]
+    start: list[int] = []
+    for i in range(len(rows)):
+        if rank_of_rows([rows[j] for j in start + [i]]) > len(start):
+            start.append(i)
+            if len(start) == d + 1:
+                break
     else:
-        found = _scan_chunk((normals, rhs, d, 0, total))
-    ordered = sorted(found)
-    tight = []
-    for x in ordered:
-        rows = tuple(
-            i
-            for i, (row, beta) in enumerate(zip(normals, rhs))
-            if sum(a * v for a, v in zip(row, x)) == beta
-        )
-        tight.append(rows)
-    return BasisVertexSet(coords=tuple(ordered), tight_rows=tuple(tight))
+        raise UnboundedSuspected("the polyhedron contains a line")
+    # column j of -B^-1 is tight on every start row except start[j]
+    inverse = invert(Matrix([rows[i] for i in start]))
+    every = sum(1 << i for i in start)
+    rays = [
+        (primitive_row([-c for c in inverse.col(j)]), every & ~(1 << i))
+        for j, i in enumerate(start)
+    ]
+    for k in range(len(rows)):
+        if k in start:
+            continue
+        bit = 1 << k
+        side = [sum(a * y for a, y in zip(rows[k], ray)) for ray, _ in rays]
+        masks = [z for _, z in rays]
+        kept = [
+            (ray, z | bit if s == 0 else z) for (ray, z), s in zip(rays, side) if s <= 0
+        ]
+        for (rp, zp), sp in zip(rays, side):
+            if sp <= 0:
+                continue
+            for (rn, zn), sn in zip(rays, side):
+                if sn >= 0:
+                    continue
+                common = zp & zn
+                # a 2-face of the (d+1)-space cone is cut out by >= d-1 rows
+                if common.bit_count() < d - 1:
+                    continue
+                if sum(z & common == common for z in masks) > 2:
+                    continue
+                new = [sp * yn - sn * yp for yp, yn in zip(rp, rn)]
+                g = gcd(*new)
+                kept.append((tuple(y // g for y in new), common | bit))
+        rays = kept
+    return rays
+
+
+def hull_vertices_by_basis(h: HRep) -> BasisVertexSet:
+    """All vertices of {x : Ax <= beta}, with the rows tight at each.
+
+    Vertex enumeration by double description of the homogenized cone (see
+    _extreme_rays): each extreme ray (x, t) with t > 0 is the vertex x/t.
+    An extreme ray with t = 0 is a recession direction, so the system is
+    unbounded (or, if infeasible, has nonzero solutions of Ay <= 0) and
+    UnboundedSuspected is raised. Only the numeric rows are read.
+    """
+    d = h.dim
+    found = []
+    for ray, mask in _extreme_rays(h):
+        t = ray[d]
+        if t == 0:
+            raise UnboundedSuspected(f"recession ray {ray[:d]}")
+        tight = tuple(i for i in range(len(h.normals)) if mask >> (i + 1) & 1)
+        found.append((tuple(Fraction(y, t) for y in ray[:d]), tight))
+    found.sort()
+    return BasisVertexSet(
+        coords=tuple(x for x, _ in found), tight_rows=tuple(r for _, r in found)
+    )
 
 
 def verify_hull_equivalence(segment: LatticeSegment, h: HRep, v) -> dict:
     """Cross-checks tying the lattice segment, the HRep, and the VRep.
 
-    (a) every segment point satisfies the inequalities; (b) basis
+    (a) every segment point satisfies the inequalities; (b) vertex
     enumeration of the HRep yields exactly the VRep coordinates; (c) every
     VRep coordinate is a segment point; (d) every vertex has a rank-d
     tight subsystem. Returns per-check booleans plus overall "pass".
     """
-    from .exactmath import rank_of_rows
-
-    seg_set = set(segment.points)
     basis = hull_vertices_by_basis(h)
     vcoords = {tuple(Fraction(c) for c in coords) for _, coords in v}
     report = {
         "segment_in_hrep": all(h.contains(x) for x in segment.points),
         "basis_equals_closed_form": basis.coordinate_set() == frozenset(vcoords),
         "vertices_in_segment": all(
-            tuple(int(c) for c in coords) in seg_set for _, coords in v
+            tuple(int(c) for c in coords) in segment for _, coords in v
         ),
         "vertex_certificates": all(
             rank_of_rows([h.normals[i] for i in rows]) == h.dim
@@ -311,19 +222,18 @@ def verify_hull_equivalence(segment: LatticeSegment, h: HRep, v) -> dict:
 def facet_irredundancy(h: HRep) -> list[dict]:
     """Per-row evidence that dropping the row changes the polyhedron.
 
-    Dropping a coordinate plane frees an axis recession ray; dropping any
-    other row is checked by re-running the basis scan and comparing vertex
-    sets. Every row of a facet-minimal system must report changed=True.
+    Each row is dropped in turn and the vertex enumeration rerun: a
+    recession ray or a different vertex set shows the row is needed. Every
+    row of a facet-minimal system must report changed=True.
     """
     base = hull_vertices_by_basis(h).coordinate_set()
     out = []
     for i in range(len(h.normals)):
-        reduced = h.without_row(i)
-        ray = _recession_ray(reduced)
-        if ray is not None:
-            out.append({"row": i, "changed": True, "evidence": f"ray {ray}"})
+        try:
+            vs = hull_vertices_by_basis(h.without_row(i)).coordinate_set()
+        except UnboundedSuspected as exc:
+            out.append({"row": i, "changed": True, "evidence": str(exc)})
             continue
-        vs = hull_vertices_by_basis(reduced).coordinate_set()
         out.append(
             {
                 "row": i,

@@ -3,8 +3,9 @@
 H- and V-representations over exact rationals, vertex-facet incidence,
 adjacency, tangent cones, the cone-coverage criterion, antipodal pair
 listing, and the two-cone H-representation builder used for Dantzig-figure
-certification. Everything here is dimension-agnostic; family-specific
-construction lives in the grlex/grevlex modules.
+certification, plus the theta check both families share. Everything here is
+dimension-agnostic; family-specific construction lives in the grlex/grevlex
+modules.
 """
 
 from __future__ import annotations
@@ -30,6 +31,22 @@ class EmptySet(ValueError):
 
 class NonSimplicialCone(ValueError):
     """Tangent cone is not simplicial (generator count != d or singular)."""
+
+
+class UnsupportedDimension(ValueError):
+    """Both families require dimension >= 3."""
+
+
+class InvalidTheta(ValueError):
+    """theta must be a vector of positive integers."""
+
+
+def check_theta(theta: tuple) -> None:
+    """Raise unless theta has d >= 3 entries, each an int (not a bool) >= 1."""
+    if len(theta) < 3:
+        raise UnsupportedDimension(f"d = {len(theta)} < 3")
+    if any(isinstance(t, bool) or not isinstance(t, int) or t < 1 for t in theta):
+        raise InvalidTheta(f"theta entries must be integers >= 1: {theta}")
 
 
 @dataclass(frozen=True, order=False)

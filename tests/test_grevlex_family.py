@@ -10,8 +10,6 @@ from dantzigfig.exactmath import Matrix, invert
 from dantzigfig.grevlex_family import (
     GrevlexInstance,
     ImproperColoring,
-    InvalidTheta,
-    UnsupportedDimension,
     grevlex_antipodal,
     grevlex_coloring,
     grevlex_edges,
@@ -25,7 +23,7 @@ from dantzigfig.grevlex_family import (
     make_grevlex,
 )
 from dantzigfig import polytope_graph as pg
-from dantzigfig.polytope_core import VertexLabel
+from dantzigfig.polytope_core import InvalidTheta, UnsupportedDimension, VertexLabel
 
 UB, VB, ZERO = VertexLabel.ubar, VertexLabel.vbar, VertexLabel.zero()
 
@@ -98,6 +96,22 @@ def test_inverse_recursion_matches_generic_inversion(theta):
     n = grevlex_facet_matrix_inverse(inst)
     assert n == invert(grevlex_facet_matrix(inst))
     assert n * grevlex_facet_matrix(inst) == Matrix.identity(inst.d)
+
+
+def test_inverse_check_sees_every_row_at_d16():
+    from dantzigfig.grevlex_family import _assert_inverse
+
+    inst = make_grevlex((2,) * 16)
+    n = grevlex_facet_matrix_inverse(inst).tolists()
+    n[5][3] += 1
+    with pytest.raises(AssertionError):
+        _assert_inverse(Matrix(n), grevlex_facet_matrix(inst), 16)
+
+
+@pytest.mark.parametrize("theta", [(2.9, 2, 2), (True, 2, 2)])
+def test_make_rejects_non_integer_entries(theta):
+    with pytest.raises(InvalidTheta):
+        make_grevlex(theta)
 
 
 def test_hrep_base_rows():

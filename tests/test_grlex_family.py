@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from dantzigfig.exactmath import Matrix, invert
 from dantzigfig.grlex_family import (
     GrlexInstance,
-    InvalidTheta,
     RequiresStrictTheta,
-    UnsupportedDimension,
     grlex_coloring,
     grlex_coloring_relaxed,
     grlex_edges,
@@ -27,7 +25,12 @@ from dantzigfig.grlex_family import (
     u_label,
 )
 from dantzigfig import polytope_graph as pg
-from dantzigfig.polytope_core import FacetId, VertexLabel
+from dantzigfig.polytope_core import (
+    FacetId,
+    InvalidTheta,
+    UnsupportedDimension,
+    VertexLabel,
+)
 
 V, U = VertexLabel.v, VertexLabel.u
 ZERO, THETA, W = VertexLabel.zero(), VertexLabel.theta(), VertexLabel.w()
@@ -107,6 +110,22 @@ def test_inverse_recursion_matches_generic_inversion(theta):
     n = grlex_facet_matrix_inverse(inst)
     assert n == invert(grlex_facet_matrix(inst))
     assert n * grlex_facet_matrix(inst) == Matrix.identity(inst.d)
+
+
+def test_inverse_check_sees_every_row_at_d16():
+    from dantzigfig.grlex_family import _assert_inverse
+
+    inst = make_grlex((2,) * 16)
+    n = grlex_facet_matrix_inverse(inst).tolists()
+    n[5][3] += 1
+    with pytest.raises(AssertionError):
+        _assert_inverse(Matrix(n), grlex_facet_matrix(inst), 16)
+
+
+@pytest.mark.parametrize("theta", [(2.9, 2, 2), (True, 2, 2)])
+def test_make_rejects_non_integer_entries(theta):
+    with pytest.raises(InvalidTheta):
+        make_grlex(theta)
 
 
 def test_hrep_base_rows():

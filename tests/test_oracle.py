@@ -1,15 +1,22 @@
-"""Independent enumeration oracles: lattice segments and basis vertex scans.
+"""Independent enumeration oracles: lattice segments and the vertex oracle.
 
 Segment sizes below were frozen from runs of this module and are kept as
 regression pins; the dual-route membership assert inside enumerate_segment
-checks every point twice on every run.
+checks every point twice on every run. The double-description vertex
+oracle is refereed by a naive basis scan, which is only fast enough for
+d <= 7.
 """
 
-import os
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dantzigfig.exactmath import rank_of_rows
 from dantzigfig.oracle import (
     DEFAULT_POINT_CAP,
     BudgetExceeded,
@@ -19,7 +26,6 @@ from dantzigfig.oracle import (
     facet_irredundancy,
     hull_vertices_by_basis,
     verify_hull_equivalence,
-    worker_count,
 )
 from dantzigfig.orders import OrderKind
 from dantzigfig.polytope_core import HRep
@@ -76,6 +82,9 @@ def test_segment_membership_protocol():
     assert (0, 0, 6) not in seg  # degree 6 but lex-greater than theta
     assert (6, 0, 0) in seg  # degree 6 and lex-smaller
     assert (0, 0, 7) not in seg
+    assert all(x in seg for x in seg.points)
+    assert all(list(x) in seg for x in seg.points)
+    assert (1, 0, 6) not in seg  # degree 7, above b
 
 
 def test_segment_top_levels_partition():
@@ -97,7 +106,7 @@ def test_segment_budget():
     assert DEFAULT_POINT_CAP == 2_000_000
 
 
-# --------------------------------------------------------- basis scan
+# ------------------------------------------------------ vertex oracle
 
 
 def unit_square_h():
@@ -150,8 +159,7 @@ def test_basis_scan_unbounded():
 
 
 def test_basis_scan_without_structural_certificate():
-    # the cube has no all-positive row, so the quick certificate fails;
-    # the axis-ray probe also fails, and the scan proceeds to the answer
+    # no row is all-positive: boundedness comes from the opposite pairs
     rows = []
     for i in range(2):
         lo, hi = [0, 0], [0, 0]
@@ -162,19 +170,132 @@ def test_basis_scan_without_structural_certificate():
     assert len(out) == 4
 
 
-def test_basis_scan_workers_smoke(monkeypatch):
-    monkeypatch.setenv("DANTZIG_SEED_THREADS", "2")
-    assert worker_count() == 2
+def test_basis_scan_family_smoke():
     inst = make_grlex((2, 2, 2))
     out = hull_vertices_by_basis(grlex_hrep(inst))
     assert out.coordinate_set() == grlex_vertices(inst).coordinate_set()
 
 
-def test_worker_count_default(monkeypatch):
-    monkeypatch.delenv("DANTZIG_SEED_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("DANTZIG_SEED_THREADS", "junk")
-    assert worker_count() == 1
+def test_basis_scan_unbounded_without_axis_ray():
+    # {x >= 0, y >= 0, |x - y| <= 1} recedes along (1, 1) only
+    h = HRep([((-1, 0), 0), ((0, -1), 0), ((1, -1), 1), ((-1, 1), 1)])
+    with pytest.raises(UnboundedSuspected):
+        hull_vertices_by_basis(h)
+
+
+def test_basis_scan_line():
+    with pytest.raises(UnboundedSuspected):
+        hull_vertices_by_basis(HRep([((1, 0), 1), ((-1, 0), 1)]))
+
+
+# ------------------------------------------------ basis-scan referee
+
+
+def _solve(aug):
+    """The unique x with a·x = beta for every row (a | beta) of aug, or None."""
+    m = [list(row) for row in aug]
+    n = len(m)
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c]), None)
+        if p is None:
+            return None
+        m[c], m[p] = m[p], m[c]
+        piv = m[c]
+        for r in range(n):
+            f = m[r][c]
+            if r != c and f:
+                m[r] = [piv[c] * a - f * b for a, b in zip(m[r], piv)]
+    return tuple(Fraction(m[r][n], m[r][r]) for r in range(n))
+
+
+def _scan(aug, equations=()):
+    """Sorted feasible points of {x : a·x <= beta for (a | beta) in aug} that
+    solve some d - len(equations) rows of aug plus the equations exactly."""
+    d = len(aug[0]) - 1
+    verdict = {}
+    for rows in combinations(aug, d - len(equations)):
+        x = _solve(rows + tuple(equations))
+        if x is not None and x not in verdict:
+            den = lcm(*(v.denominator for v in x))
+            nums = [int(v * den) for v in x]
+            verdict[x] = all(
+                sum(a * v for a, v in zip(row, nums)) <= row[d] * den for row in aug
+            )
+    return sorted(x for x, ok in verdict.items() if ok)
+
+
+def referee_vertices(h):
+    """The sorted vertices of h, or None when Ay <= 0 has a solution y != 0.
+
+    Every vertex solves some d rows with equality. When A has rank d, every
+    such y has c·y > 0 for c = -(sum of the rows), so it exists iff the
+    polytope {Ay <= 0, c·y = 1} has a vertex.
+    """
+    d = h.dim
+    if rank_of_rows(h.normals) < d:
+        return None
+    c = tuple(-sum(col) for col in zip(*h.normals)) + (1,)
+    if _scan([normal + (0,) for normal in h.normals], [c]):
+        return None
+    return _scan(
+        [
+            tuple(a * beta.denominator for a in normal) + (beta.numerator,)
+            for normal, beta in h.rows()
+        ]
+    )
+
+
+def dd_vertices(h):
+    try:
+        return list(hull_vertices_by_basis(h).coords)
+    except UnboundedSuspected:
+        return None
+
+
+def test_referee_on_known_systems():
+    assert referee_vertices(unit_square_h()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert referee_vertices(HRep([((-1, 0), 0), ((0, -1), 0), ((1, -1), 1)])) is None
+    assert referee_vertices(HRep([((1, 0), 1), ((-1, 0), 1)])) is None
+
+
+_row = st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    extra=st.lists(st.tuples(_row, st.integers(-2, 8)), min_size=1, max_size=6),
+)
+def test_dd_matches_referee_random(d, extra):
+    planes = [(tuple(-int(i == c) for i in range(d)), 0) for c in range(d)]
+    rows = [(a[:d], beta) for a, beta in extra if any(a[:d])]
+    h = HRep(planes + rows)
+    assert dd_vertices(h) == referee_vertices(h)
+
+
+def test_dd_needs_the_adjacency_test():
+    # here some (+,-) pairs share d-1 tight rows without being adjacent;
+    # combining them anyway yields 16 points: the 13 vertices, a duplicate
+    # and two points that are not vertices
+    planes = [(tuple(-int(i == c) for i in range(4)), 0) for c in range(4)]
+    rows = [
+        ((3, 3, -2, -3), 8),
+        ((3, 3, -1, -3), 8),
+        ((2, -2, -2, 3), 2),
+        ((-2, 3, 3, -1), 4),
+    ]
+    h = HRep(planes + rows)
+    assert dd_vertices(h) == referee_vertices(h)
+    assert len(dd_vertices(h)) == 13
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_dd_matches_referee_family_sweep(d):
+    rng = random.Random(d)
+    for make, hrep in ((make_grlex, grlex_hrep), (make_grevlex, grevlex_hrep)):
+        h = hrep(make(tuple(rng.randint(1, 4) for _ in range(d))))
+        for variant in [h] + [h.without_row(i) for i in range(len(h))]:
+            assert dd_vertices(variant) == referee_vertices(variant)
 
 
 # ------------------------------------------------------ equivalence

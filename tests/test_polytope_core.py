@@ -9,6 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+import dantzigfig
+from dantzigfig.grevlex_family import make_grevlex
+from dantzigfig.grlex_family import make_grlex
 from dantzigfig.polytope_core import (
     EmptySet,
     FacetId,
@@ -283,3 +286,11 @@ def test_incidence_same_bits_alignment():
         inc2.labels, inc2.facet_ids, [inc2.vertex_masks[0] ^ 1] + inc2.vertex_masks[1:]
     )
     assert not inc.same_bits(broken)
+
+
+@pytest.mark.parametrize("make", [make_grlex, make_grevlex])
+def test_exported_theta_errors_catch_both_families(make):
+    with pytest.raises(dantzigfig.InvalidTheta):
+        make((0, 1, 1))
+    with pytest.raises(dantzigfig.UnsupportedDimension):
+        make((1, 1))
