@@ -4,8 +4,8 @@
 For each d up to the exhaustive cap this enumerates every vertex subset
 (Gray-code order, so it is feasible to ~24 vertices) and reports the
 exact minimum of |bd(S)|/|S| with a witness set. Past the cap it falls
-back to the closed-form witness for the grlex family, whose ratio is
-always exactly 1.
+back to the closed-form witness of each family that has one (grlex, whose
+ratio is always exactly 1).
 
 Usage:
     python3 scripts/expansion_scan.py --exhaustive-to 6 --witness-to 9
@@ -14,16 +14,13 @@ Usage:
 import argparse
 import time
 
-from dantzigfig import grevlex_family as gv
-from dantzigfig import grlex_family as gl
+from dantzigfig import FAMILIES
 from dantzigfig.polytope_graph import cut_edges, edge_expansion_exact
 
 
 def scan_exhaustive(d):
-    for family, graph in (
-        ("grlex", gl.grlex_graph(gl.make_grlex((2,) * d))),
-        ("grevlex", gv.grevlex_graph(gv.make_grevlex((2,) * d))),
-    ):
+    for family, fam in FAMILIES.items():
+        graph = fam.graph(fam.make((2,) * d))
         started = time.perf_counter()
         result = edge_expansion_exact(graph, max_vertices=len(graph))
         elapsed = time.perf_counter() - started
@@ -36,14 +33,18 @@ def scan_exhaustive(d):
 
 
 def scan_witness(d):
-    inst = gl.make_grlex((2,) * d)
-    witness, boundary = gl.grlex_expansion_witness(inst)
-    cut = cut_edges(gl.grlex_graph(inst), witness)
-    assert len(cut) == boundary == len(witness) == d
-    print(
-        f"d={d} grlex    witness-only: ratio {boundary}/{len(witness)} = 1"
-        f"  S = 0 + last column"
-    )
+    for family, fam in FAMILIES.items():
+        inst = fam.make((2,) * d)
+        found = fam.expansion_witness(inst)
+        if found is None:
+            continue
+        witness, boundary = found
+        cut = cut_edges(fam.graph(inst), witness)
+        assert len(cut) == boundary == len(witness) == d
+        print(
+            f"d={d} {family:8s} witness-only: ratio {boundary}/{len(witness)} = 1"
+            f"  S = 0 + last column"
+        )
 
 
 def main() -> int:

@@ -13,8 +13,7 @@ Usage:
 
 import argparse
 
-from dantzigfig import grevlex_family as gv
-from dantzigfig import grlex_family as gl
+from dantzigfig import FAMILIES
 from dantzigfig.polytope_graph import (
     radius_and_diameter,
     verify_coloring,
@@ -28,23 +27,12 @@ COLUMNS = (
 
 
 def census_row(family, d, entry):
-    theta = (entry,) * d
-    if family == "grlex":
-        inst = gl.make_grlex(theta)
-        graph = gl.grlex_graph(inst)
-        hrep = gl.grlex_hrep(inst)
-        cycle = gl.grlex_hamiltonian_cycle(inst)
-        coloring = (
-            gl.grlex_coloring(inst)
-            if inst.strict
-            else gl.grlex_coloring_relaxed(inst)[0]
-        )
-    else:
-        inst = gv.make_grevlex(theta)
-        graph = gv.grevlex_graph(inst)
-        hrep = gv.grevlex_hrep(inst)
-        cycle = gv.grevlex_hamiltonian_cycle(inst)
-        coloring = gv.grevlex_coloring(inst)
+    fam = FAMILIES[family]
+    inst = fam.make((entry,) * d)
+    graph = fam.graph(inst)
+    hrep = fam.hrep(inst)
+    cycle = fam.hamiltonian_cycle(inst)
+    coloring, _ = fam.coloring(inst)
     degrees = graph.degree_multiset()
     radius, diameter = radius_and_diameter(graph)
     proper, ncolors = verify_coloring(graph, coloring)
@@ -76,7 +64,7 @@ def main() -> int:
     rows = [
         census_row(family, d, args.theta_entry)
         for d in range(3, args.max_d + 1)
-        for family in ("grlex", "grevlex")
+        for family in FAMILIES
     ]
     widths = {
         c: max(len(c), *(len(str(r[c])) for r in rows)) for c in COLUMNS

@@ -1,8 +1,14 @@
 """Exact construction and verification of graded-order initial-segment
-polytopes (grlex and grevlex families) and their Dantzig-figure structure."""
+polytopes (grlex and grevlex families) and their Dantzig-figure structure.
 
-from .exactmath import Matrix, Rational, SingularError, invert, rank, solve_unique
+FAMILIES maps each family name to its `family.Family`, the one object the
+CLI, the scripts and the acceptance tests dispatch through.
+"""
+
+from .exactmath import Matrix, Rational, SingularError, invert, rank
+from .family import Family
 from .grevlex_family import (
+    GREVLEX,
     GrevlexInstance,
     ImproperColoring,
     grevlex_antipodal,
@@ -18,6 +24,7 @@ from .grevlex_family import (
     make_grevlex,
 )
 from .grlex_family import (
+    GRLEX,
     GrlexInstance,
     RequiresStrictTheta,
     grlex_coloring,
@@ -53,6 +60,7 @@ from .orders import (
     is_initial_segment_member,
 )
 from .polytope_core import (
+    CheckFailed,
     FacetId,
     HRep,
     IncidenceMatrix,
@@ -85,6 +93,8 @@ from .polytope_graph import (
     verify_coloring,
     verify_hamiltonian,
 )
+
+FAMILIES = {family.name: family for family in (GRLEX, GREVLEX)}
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -11,15 +11,13 @@ import argparse
 import sys
 import time
 
+from . import FAMILIES
 from . import formats
-from . import grevlex_family as gv
-from . import grlex_family as gl
 from . import oracle
 from . import polytope_graph as pg
 from .polytope_core import (
     InvalidTheta,
     UnsupportedDimension,
-    VertexLabel,
     cone_cover_test,
     dantzig_hrep,
     facet_spans_ridge,
@@ -29,61 +27,17 @@ from .polytope_core import (
 
 EXIT_OK, EXIT_VERIFY, EXIT_INPUT, EXIT_BUDGET = 0, 1, 2, 3
 
-SUITE_NAMES = (
-    "vertices",
-    "facets",
-    "incidence",
-    "dantzig",
-    "graph",
-    "expansion",
-    "oracle",
-)
-
 
 class CLIError(ValueError):
     """Bad command line input."""
 
 
 def _parse_theta(text: str) -> tuple[int, ...]:
+    """Parse the integers; the family's make() validates them."""
     try:
-        theta = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise CLIError(f"theta must be comma-separated integers: {text!r}") from exc
-    if len(theta) < 3:
-        raise CLIError(f"need dimension >= 3, got {len(theta)} entries")
-    if any(t < 1 for t in theta):
-        raise CLIError(f"theta entries must be >= 1: {theta}")
-    return theta
-
-
-def _ops(family: str) -> dict:
-    if family == "grlex":
-        return {
-            "make": gl.make_grlex,
-            "vertices": gl.grlex_vertices,
-            "hrep": gl.grlex_hrep,
-            "incidence": gl.grlex_incidence,
-            "edges": gl.grlex_edges,
-            "graph": gl.grlex_graph,
-            "hamiltonian": gl.grlex_hamiltonian_cycle,
-            "apexes": lambda inst: (VertexLabel.zero(), VertexLabel.theta()),
-        }
-    if family == "grevlex":
-        return {
-            "make": gv.make_grevlex,
-            "vertices": gv.grevlex_vertices,
-            "hrep": gv.grevlex_hrep,
-            "incidence": gv.grevlex_incidence,
-            "edges": gv.grevlex_edges,
-            "graph": gv.grevlex_graph,
-            "hamiltonian": gv.grevlex_hamiltonian_cycle,
-            "apexes": lambda inst: (VertexLabel.zero(), VertexLabel.ubar(2)),
-        }
-    raise CLIError(f"unknown family {family!r}")
-
-
-def _is_strict(inst) -> bool:
-    return all(t >= 2 for t in inst.theta)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -97,13 +51,10 @@ def _write_out(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------- suites
 
 
-def _suite_vertices(family, inst, ops, budget) -> dict:
-    v = ops["vertices"](inst)
-    d = inst.d
-    expected = (d * d + d + 2) // 2
-    if family == "grlex":
-        expected -= len(inst.merged_ks)
-    basis = oracle.hull_vertices_by_basis(ops["hrep"](inst))
+def _suite_vertices(fam, inst, budget) -> dict:
+    v = fam.vertices(inst)
+    expected = fam.vertex_count(inst)
+    basis = oracle.hull_vertices_by_basis(fam.hrep(inst))
     basis_match = basis.coordinate_set() == frozenset(
         tuple(map(int, coords)) for _, coords in v
     )
@@ -117,27 +68,12 @@ def _suite_vertices(family, inst, ops, budget) -> dict:
     }
 
 
-def _monotone_ok(family: str, normal, row_index: int, d: int) -> bool:
-    a = list(normal)
-    if any(x < 0 for x in a):
-        return False
-    if family == "grlex":
-        return all(a[i] <= a[i + 1] for i in range(d - 1))
-    r = row_index + 1  # 1-based nontrivial row number
-    head_equal = all(a[i] == a[0] for i in range(r))
-    drop = a[r - 1] > a[r] if r < d else True
-    tail = all(a[i] >= a[i + 1] for i in range(r, d - 1))
-    return head_equal and drop and tail and a[d - 1] >= 0
-
-
-def _suite_facets(family, inst, ops, budget) -> dict:
-    h = ops["hrep"](inst)
+def _suite_facets(fam, inst, budget) -> dict:
+    h = fam.hrep(inst)
     d = inst.d
     rows_ok = len(h.normals) == 2 * d
     grading_ok = h.normals[-1] == (1,) * d and h.rhs[-1] == inst.b
-    monotone = all(
-        _monotone_ok(family, h.normals[d + r], r, d) for r in range(d)
-    )
+    monotone = all(fam.normal_ok(h.normals[d + r], r) for r in range(d))
     irredundant = all(row["changed"] for row in oracle.facet_irredundancy(h))
     return {
         "passed": rows_ok and grading_ok and monotone and irredundant,
@@ -150,10 +86,10 @@ def _suite_facets(family, inst, ops, budget) -> dict:
     }
 
 
-def _suite_incidence(family, inst, ops, budget) -> dict:
-    inc = ops["incidence"](inst)  # construction asserts symbolic == numeric
-    h = ops["hrep"](inst)
-    v = ops["vertices"](inst)
+def _suite_incidence(fam, inst, budget) -> dict:
+    inc = fam.incidence(inst)  # construction checks symbolic == numeric
+    h = fam.hrep(inst)
+    v = fam.vertices(inst)
     d = inst.d
     vertex_bits_ok = all(
         inc.vertex_masks[i].bit_count() >= d for i in range(len(v))
@@ -174,17 +110,14 @@ def _suite_incidence(family, inst, ops, budget) -> dict:
     }
 
 
-def _suite_dantzig(family, inst, ops, budget) -> dict:
-    h = ops["hrep"](inst)
-    v = ops["vertices"](inst)
-    a, b = ops["apexes"](inst)
+def _suite_dantzig(fam, inst, budget) -> dict:
+    h = fam.hrep(inst)
+    v = fam.vertices(inst)
+    a, b = fam.apexes(inst)
     cover_pair = cone_cover_test(h, v, {a, b})
     cover_zero_only = cone_cover_test(h, v, {a})
     pairs = list_antipodal_pairs(h, v)
-    expected = {frozenset((a, b))}
-    if family == "grevlex" and inst.d == 3:
-        expected.add(frozenset((VertexLabel.vbar(1, 3), VertexLabel.vbar(2, 4))))
-    pairs_ok = {frozenset(p) for p in pairs} == expected
+    pairs_ok = {frozenset(p) for p in pairs} == fam.antipodal_pairs(inst)
     rebuilt = dantzig_hrep(tangent_cone(h, v, a), tangent_cone(h, v, b))
     hrep_match = rebuilt.same_polytope_rows(h)
     return {
@@ -198,38 +131,22 @@ def _suite_dantzig(family, inst, ops, budget) -> dict:
     }
 
 
-def _suite_graph(family, inst, ops, budget) -> dict:
-    d = inst.d
-    graph = ops["graph"](inst)
-    edges_expected = (d**3 + 2 * d) // 3
-    strict = _is_strict(inst)
-    check_formula = family == "grevlex" or strict
-    edge_ok = graph.edge_count() == edges_expected if check_formula else True
+def _suite_graph(fam, inst, budget) -> dict:
+    graph = fam.graph(inst)
+    edges_expected = fam.edge_count(inst)
+    edge_ok = edges_expected is None or graph.edge_count() == edges_expected
     radius, diameter = pg.radius_and_diameter(graph)
-    if family == "grevlex":
-        metric_ok = (radius, diameter) == (2, 2)
-    elif strict:
-        metric_ok = (radius, diameter) == (2, 2 if d == 3 else 3)
-    else:
-        metric_ok = True
-    cycle = ops["hamiltonian"](inst)
+    metric = fam.radius_diameter(inst)
+    metric_ok = metric is None or (radius, diameter) == metric
+    cycle = fam.hamiltonian_cycle(inst)
     ham_ok = pg.verify_hamiltonian(graph, cycle)
-    if family == "grevlex":
-        coloring = gv.grevlex_coloring(inst)
-        colors = len(set(coloring.values()))
-        color_ok = colors == d
-    elif strict:
-        coloring = gl.grlex_coloring(inst)
-        colors = len(set(coloring.values()))
-        color_ok = colors == d
-    else:
-        coloring, colors = gl.grlex_coloring_relaxed(inst)
-        color_ok = pg.verify_coloring(graph, coloring)[0]
+    coloring, colors = fam.coloring(inst)
+    color_ok = pg.verify_coloring(graph, coloring) == (True, inst.d)
     return {
         "passed": edge_ok and metric_ok and ham_ok and color_ok,
         "details": {
             "edges": graph.edge_count(),
-            "edges_expected": edges_expected if check_formula else None,
+            "edges_expected": edges_expected,
             "radius": radius,
             "diameter": diameter,
             "hamiltonian": ham_ok,
@@ -239,8 +156,8 @@ def _suite_graph(family, inst, ops, budget) -> dict:
     }
 
 
-def _suite_expansion(family, inst, ops, budget) -> dict:
-    graph = ops["graph"](inst)
+def _suite_expansion(fam, inst, budget) -> dict:
+    graph = fam.graph(inst)
     cap = budget["expansion_max_n"]
     if len(graph) > cap:
         raise pg.TooLarge(f"{len(graph)} vertices exceeds --expansion-max-n {cap}")
@@ -250,20 +167,20 @@ def _suite_expansion(family, inst, ops, budget) -> dict:
         "witness": [str(x) for x in result.witness],
         "boundary": result.boundary,
     }
-    if family == "grlex" and _is_strict(inst):
+    witness = fam.expansion_witness(inst)
+    if witness is None:
+        passed = True  # reported, no closed-form claim
+    else:
+        s, cut = witness
         passed = result.value == 1
-        s, cut = gl.grlex_expansion_witness(inst)
         details["closed_form_witness"] = sorted(str(x) for x in s)
         details["closed_form_ratio_one"] = cut == len(s)
-    else:
-        passed = True  # reported, no closed-form claim
     return {"passed": passed, "details": details}
 
 
-def _suite_oracle(family, inst, ops, budget) -> dict:
-    kind = oracle.OrderKind.GRLEX if family == "grlex" else oracle.OrderKind.GREVLEX
-    seg = oracle.enumerate_segment(kind, inst.theta, point_cap=budget["point_cap"])
-    report = oracle.verify_hull_equivalence(seg, ops["hrep"](inst), ops["vertices"](inst))
+def _suite_oracle(fam, inst, budget) -> dict:
+    seg = oracle.enumerate_segment(fam.kind, inst.theta, point_cap=budget["point_cap"])
+    report = oracle.verify_hull_equivalence(seg, fam.hrep(inst), fam.vertices(inst))
     return {
         "passed": report["pass"],
         "details": {**report, "segment_points": len(seg)},
@@ -279,24 +196,24 @@ _SUITES = {
     "expansion": _suite_expansion,
     "oracle": _suite_oracle,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 # -------------------------------------------------------------- commands
 
 
 def cmd_construct(args) -> int:
-    theta = _parse_theta(args.theta)
-    ops = _ops(args.family)
-    inst = ops["make"](theta)
+    fam = FAMILIES[args.family]
+    inst = fam.make(_parse_theta(args.theta))
     if args.format == "ine":
-        text = formats.write_ine(ops["hrep"](inst))
+        text = formats.write_ine(fam.hrep(inst))
     elif args.format == "ext":
-        text = formats.write_ext(ops["vertices"](inst))
+        text = formats.write_ext(fam.vertices(inst))
     elif args.format == "dot":
-        text = formats.write_dot(ops["graph"](inst))
+        text = formats.write_dot(fam.graph(inst))
     else:
-        v = ops["vertices"](inst)
-        h = ops["hrep"](inst)
+        v = fam.vertices(inst)
+        h = fam.hrep(inst)
         report = {
             "schema": 1,
             "command": "construct",
@@ -306,13 +223,13 @@ def cmd_construct(args) -> int:
             "b": inst.b,
             "vertex_count": len(v),
             "facet_count": len(h.normals),
-            "edge_count": ops["graph"](inst).edge_count(),
+            "edge_count": fam.graph(inst).edge_count(),
             "vertices": {str(lab): list(coords) for lab, coords in v},
             "facets": [
                 {"id": str(fid), "normal": list(normal), "rhs": beta}
                 for fid, (normal, beta) in zip(h.ids, h.rows())
             ],
-            "hamiltonian_cycle": [str(x) for x in ops["hamiltonian"](inst)],
+            "hamiltonian_cycle": [str(x) for x in fam.hamiltonian_cycle(inst)],
         }
         text = formats.dump_report(report)
     _write_out(text, args.out)
@@ -320,9 +237,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    theta = _parse_theta(args.theta)
-    ops = _ops(args.family)
-    inst = ops["make"](theta)
+    fam = FAMILIES[args.family]
+    inst = fam.make(_parse_theta(args.theta))
     requested = [s.strip() for s in args.suites.split(",") if s.strip()]
     all_mode = "all" in requested
     names = list(SUITE_NAMES) if all_mode else requested
@@ -338,7 +254,7 @@ def cmd_verify(args) -> int:
     for name in names:
         started = time.perf_counter()
         try:
-            outcome = _SUITES[name](args.family, inst, ops, budget)
+            outcome = _SUITES[name](fam, inst, budget)
             outcome["suite"] = name
             outcome["skipped"] = False
         except (oracle.BudgetExceeded, pg.TooLarge) as exc:
@@ -367,15 +283,15 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
-def _graph_invariants(family, inst, ops) -> dict:
-    graph = ops["graph"](inst)
+def _graph_invariants(fam, inst) -> dict:
+    graph = fam.graph(inst)
     return {
         "vertex_count": len(graph),
         "edge_count": graph.edge_count(),
         "degree_multiset": list(graph.degree_multiset()),
         "max_degree": max(graph.degree_multiset()),
         "facet_vertex_counts": sorted(
-            (m.bit_count() for m in ops["incidence"](inst).facet_masks),
+            (m.bit_count() for m in fam.incidence(inst).facet_masks),
             reverse=True,
         ),
     }
@@ -388,10 +304,10 @@ def cmd_compare(args) -> int:
         raise CLIError(
             f"dimension mismatch: {len(theta_a)} vs {len(theta_b)}"
         )
-    ops_a, ops_b = _ops(args.family_a), _ops(args.family_b)
-    inst_a, inst_b = ops_a["make"](theta_a), ops_b["make"](theta_b)
-    inc_a = ops_a["incidence"](inst_a)
-    inc_b = ops_b["incidence"](inst_b)
+    fam_a, fam_b = FAMILIES[args.family_a], FAMILIES[args.family_b]
+    inst_a, inst_b = fam_a.make(theta_a), fam_b.make(theta_b)
+    inc_a = fam_a.incidence(inst_a)
+    inc_b = fam_b.incidence(inst_b)
     try:
         equal = pg.combinatorially_equal(inc_a, inc_b)
         reason = "incidence bits match" if equal else "incidence bits differ"
@@ -404,12 +320,12 @@ def cmd_compare(args) -> int:
         "a": {
             "family": args.family_a,
             "theta": list(theta_a),
-            **_graph_invariants(args.family_a, inst_a, ops_a),
+            **_graph_invariants(fam_a, inst_a),
         },
         "b": {
             "family": args.family_b,
             "theta": list(theta_b),
-            **_graph_invariants(args.family_b, inst_b, ops_b),
+            **_graph_invariants(fam_b, inst_b),
         },
         "equal": equal,
         "reason": reason,
@@ -419,20 +335,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    theta = _parse_theta(args.theta)
-    ops = _ops(args.family)
-    inst = ops["make"](theta)
-    graph = ops["graph"](inst)
+    fam = FAMILIES[args.family]
+    inst = fam.make(_parse_theta(args.theta))
+    graph = fam.graph(inst)
     if args.format == "dot":
         _write_out(formats.write_dot(graph), args.out)
         return EXIT_OK
     radius, diameter = pg.radius_and_diameter(graph)
-    if args.family == "grevlex":
-        coloring = gv.grevlex_coloring(inst)
-    elif _is_strict(inst):
-        coloring = gl.grlex_coloring(inst)
-    else:
-        coloring, _ = gl.grlex_coloring_relaxed(inst)
+    coloring, colors = fam.coloring(inst)
     report = {
         "schema": 1,
         "command": "graph",
@@ -444,9 +354,9 @@ def cmd_graph(args) -> int:
         "average_degree": graph.average_degree(),
         "radius": radius,
         "diameter": diameter,
-        "hamiltonian_cycle": [str(x) for x in ops["hamiltonian"](inst)],
+        "hamiltonian_cycle": [str(x) for x in fam.hamiltonian_cycle(inst)],
         "coloring": {str(lab): c for lab, c in coloring.items()},
-        "colors": len(set(coloring.values())),
+        "colors": colors,
     }
     if len(graph) <= args.expansion_max_n:
         result = pg.edge_expansion_exact(graph, max_vertices=args.expansion_max_n)
@@ -472,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--family", required=True, choices=("grlex", "grevlex"))
+        p.add_argument("--family", required=True, choices=tuple(FAMILIES))
         p.add_argument("--theta", required=True, help="comma-separated, e.g. 2,2,2")
         p.add_argument("--out", default=None, help="write output to file")
 
@@ -493,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="compare two instances combinatorially")
-    p.add_argument("--family-a", required=True, choices=("grlex", "grevlex"))
+    p.add_argument("--family-a", required=True, choices=tuple(FAMILIES))
     p.add_argument("--theta-a", required=True)
-    p.add_argument("--family-b", required=True, choices=("grlex", "grevlex"))
+    p.add_argument("--family-b", required=True, choices=tuple(FAMILIES))
     p.add_argument("--theta-b", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)

@@ -42,10 +42,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     def __getitem__(self, rc: tuple[int, int]) -> Fraction:
         r, c = rc
         return self._data[r][c]
@@ -182,29 +178,6 @@ def invert(m: Matrix) -> Matrix:
     inv = Matrix(zip(*inv_cols))
     # Undo the row scaling of the input: (DA)^-1 D = A^-1.
     return Matrix([[inv[i, j] * scales[j] for j in range(n)] for i in range(n)])
-
-
-def solve_unique(m: Matrix, rhs: Sequence) -> tuple[Fraction, ...]:
-    """Solve m·x = rhs for square m; raises SingularError when singular."""
-    if m.rows != m.cols:
-        raise SingularError("matrix not square")
-    n = m.rows
-    b = [Fraction(x) for x in rhs]
-    if len(b) != n:
-        raise ValueError("shape mismatch")
-    scaled_rows = []
-    for row, bi in zip(m.tolists(), b):
-        mult = lcm(bi.denominator, *(f.denominator for f in row))
-        scaled_rows.append([int(f * mult) for f in row] + [int(bi * mult)])
-    ech, pivots = _bareiss_echelon(scaled_rows)
-    if len(pivots) < n or pivots != list(range(n)):
-        raise SingularError("rank deficient")
-    x: list[Fraction] = [Fraction(0)] * n
-    rows_f = [[Fraction(e) for e in row] for row in ech]
-    for i in range(n - 1, -1, -1):
-        acc = rows_f[i][n] - sum(rows_f[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = acc / rows_f[i][i]
-    return tuple(x)
 
 
 def primitive_row(entries: Sequence[Fraction]) -> tuple[int, ...]:

@@ -1,66 +1,48 @@
 """Closed-form construction of the graded-reverse-lex polytope Q.
 
-Mirrors the grlex module: vertices ubar(2..d+1) and vbar(j,k), the facet
-matrix Mbar with inverse Nbar by recursion, the 2d-row system, symbolic
-incidence, edges, a serpentine Hamiltonian cycle, a residue d-coloring,
-and the antipodal-pair census. Unlike P there are no vertex merges — the
+The closed forms of Q: vertices ubar(2..d+1) and vbar(j,k), the facet
+matrix Mbar (columns are edge directions at theta) with its inverse Nbar
+by recursion, the tight sets of the 2d facet rows, the edge families, a
+serpentine Hamiltonian cycle, a residue d-coloring, and the antipodal-pair
+census. The shared builders of `family` check each of them against the
+generic numeric machinery. Unlike P there are no vertex merges — the
 count is (d^2+d+2)/2 for every theta >= 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
 from . import polytope_graph as pg
 from .exactmath import Matrix
+from .family import (
+    Family,
+    ThetaInstance,
+    check_inverse,
+    checked_coloring,
+    checked_cycle,
+    checked_edges,
+    checked_incidence,
+    hrep_from_inverse,
+)
+from .orders import OrderKind
 from .polytope_core import (
-    FacetId,
+    CheckFailed,
     HRep,
     IncidenceMatrix,
     VRep,
     VertexLabel,
-    adjacency_from_incidence,
-    check_theta,
-    incidence,
     list_antipodal_pairs,
 )
 
+# Kept as a name for CheckFailed, which a failed coloring check raises.
+ImproperColoring = CheckFailed
 
-class ImproperColoring(AssertionError):
-    """Raised if the residue coloring ever failed verification."""
 
-
-@dataclass(frozen=True)
-class GrevlexInstance:
+class GrevlexInstance(ThetaInstance):
     """A bound vector theta >= 1 with d >= 3, plus derived quantities."""
-
-    theta: tuple[int, ...]
-
-    def __post_init__(self):
-        check_theta(self.theta)
-
-    @property
-    def d(self) -> int:
-        return len(self.theta)
-
-    @property
-    def b(self) -> int:
-        return sum(self.theta)
-
-    @property
-    def btilde(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for t in self.theta:
-            acc += t
-            out.append(acc)
-        return tuple(out)
-
-    def bt(self, k: int) -> int:
-        """btilde_k with 1-based k; bt(0) = 0."""
-        return self.btilde[k - 1] if k >= 1 else 0
 
 
 def make_grevlex(theta) -> GrevlexInstance:
@@ -107,7 +89,8 @@ def grevlex_vertices(inst: GrevlexInstance) -> VRep:
     for j, k in _vbar_range(d):
         entries.append((VertexLabel.vbar(j, k), _vbar_coords(inst, j, k)))
     vrep = VRep(entries)
-    assert len(vrep) == (d * d + d + 2) // 2, "vertex count mismatch"
+    if len(vrep) != GREVLEX.vertex_count(inst):
+        raise CheckFailed("vertex count mismatch")
     return vrep
 
 
@@ -133,7 +116,7 @@ def _q(inst: GrevlexInstance, i: int, j: int) -> int:
 
 @lru_cache(maxsize=None)
 def grevlex_facet_matrix_inverse(inst: GrevlexInstance) -> Matrix:
-    """Nbar = Mbar^-1 by closed-form recursion; Nbar·Mbar = I is asserted."""
+    """Nbar = Mbar^-1 by closed-form recursion; Nbar·Mbar = I is checked."""
     d, th = inst.d, inst.theta
     th1 = th[0]
     n = [[Fraction(0)] * (d + 1) for _ in range(d + 1)]  # 1-based
@@ -161,22 +144,7 @@ def grevlex_facet_matrix_inverse(inst: GrevlexInstance) -> Matrix:
             else:
                 inc = Fraction(-_q(inst, i + 1, j))
             n[i][j] = n[i][j + 1] + inc
-    result = Matrix([row[1:] for row in n[1:]])
-    _assert_inverse(result, grevlex_facet_matrix(inst), d)
-    return result
-
-
-def _assert_inverse(n: Matrix, m: Matrix, d: int) -> None:
-    assert n * m == Matrix.identity(d), "closed-form inverse mismatch"
-
-
-def _facet_ids(inst: GrevlexInstance) -> list[FacetId]:
-    ids = [FacetId.coord(i) for i in range(1, inst.d + 1)]
-    ids.append(FacetId.nontrivial(VertexLabel.ubar(3)))
-    for r in range(2, inst.d):
-        ids.append(FacetId.nontrivial(VertexLabel.vbar(1, r + 1)))
-    ids.append(FacetId.grading())
-    return ids
+    return check_inverse(Matrix([row[1:] for row in n[1:]]), grevlex_facet_matrix(inst))
 
 
 @lru_cache(maxsize=None)
@@ -186,21 +154,9 @@ def grevlex_hrep(inst: GrevlexInstance) -> HRep:
     Row r of -Nbar has entries a_1 = ... = a_{r} > a_{r+1} >= ... >= a_d >= 0
     after clearing denominators; the last row is sum(x) <= b exactly.
     """
-    d = inst.d
-    n = grevlex_facet_matrix_inverse(inst)
-    rows: list[tuple[list, object]] = []
-    for i in range(d):
-        normal = [0] * d
-        normal[i] = -1
-        rows.append((normal, 0))
-    for r in range(d):
-        normal = [-n[r, c] for c in range(d)]
-        beta = sum(a * t for a, t in zip(normal, inst.theta))
-        rows.append((normal, beta))
-    h = HRep(rows, _facet_ids(inst))
-    grading_normal, grading_rhs = h.normals[-1], h.rhs[-1]
-    assert grading_normal == (1,) * d and grading_rhs == inst.b
-    return h
+    missed = [VertexLabel.ubar(3)]
+    missed += [VertexLabel.vbar(1, k) for k in range(3, inst.d + 1)]
+    return hrep_from_inverse(inst, grevlex_facet_matrix_inverse(inst), missed)
 
 
 def _symbolic_psi(inst: GrevlexInstance) -> dict[VertexLabel, frozenset[int]]:
@@ -226,21 +182,16 @@ def _symbolic_psi(inst: GrevlexInstance) -> dict[VertexLabel, frozenset[int]]:
 
 @lru_cache(maxsize=None)
 def grevlex_incidence(inst: GrevlexInstance) -> IncidenceMatrix:
-    """Symbolic incidence from the closed formulas, asserted against the
+    """Symbolic incidence from the closed formulas, checked against the
     numeric slack computation bit for bit."""
-    v = grevlex_vertices(inst)
-    h = grevlex_hrep(inst)
-    psi = _symbolic_psi(inst)
-    masks = [sum(1 << f for f in psi[label]) for label in v.labels()]
-    symbolic = IncidenceMatrix(v.labels(), list(h.ids), masks)
-    numeric = incidence(h, v)
-    assert symbolic.vertex_masks == numeric.vertex_masks, "incidence formula mismatch"
-    return symbolic
+    return checked_incidence(
+        grevlex_hrep(inst), grevlex_vertices(inst), _symbolic_psi(inst)
+    )
 
 
 @lru_cache(maxsize=None)
 def grevlex_edges(inst: GrevlexInstance) -> tuple[tuple[VertexLabel, VertexLabel], ...]:
-    """Closed-form edge list, asserted equal to incidence-derived adjacency.
+    """Closed-form edge list, checked equal to incidence-derived adjacency.
 
     Families: 0 to ubar(d+1) and every vbar(.,d+1); the ubar chain; ubar(k)
     to short-row vbar(j,k-1); ubar(j) to vbar(j-1,.); same-j row cliques;
@@ -270,11 +221,7 @@ def grevlex_edges(inst: GrevlexInstance) -> tuple[tuple[VertexLabel, VertexLabel
         for j1 in range(1, k - 1):
             for j2 in range(j1 + 1, k - 1):
                 add(VB(j1, k), VB(j2, k))
-    closed = sorted(tuple(sorted(p, key=VertexLabel.sort_key)) for p in edges)
-    derived = adjacency_from_incidence(grevlex_hrep(inst), grevlex_incidence(inst))
-    derived = sorted(tuple(sorted(p, key=VertexLabel.sort_key)) for p in derived)
-    assert closed == derived, "edge list disagrees with incidence adjacency"
-    return tuple(closed)
+    return checked_edges(edges, grevlex_hrep(inst), grevlex_incidence(inst))
 
 
 def grevlex_graph(inst: GrevlexInstance) -> pg.PolytopeGraph:
@@ -299,12 +246,7 @@ def grevlex_hamiltonian_cycle(inst: GrevlexInstance) -> tuple[VertexLabel, ...]:
         exit_j = max(rest) if rest else entry
         cycle += [VB(entry, k)] + [VB(j, k) for j in sorted(rest)]
         entry = exit_j
-    graph = grevlex_graph(inst)
-    if not pg.verify_hamiltonian(graph, cycle):
-        found = pg.find_hamiltonian_cycle(graph)
-        assert found is not None, "polytope graph unexpectedly non-Hamiltonian"
-        return tuple(found)
-    return tuple(cycle)
+    return checked_cycle(grevlex_graph(inst), cycle)
 
 
 def grevlex_coloring(inst: GrevlexInstance) -> dict[VertexLabel, int]:
@@ -312,7 +254,7 @@ def grevlex_coloring(inst: GrevlexInstance) -> dict[VertexLabel, int]:
 
     0 -> 1, vbar(j,k) -> (k+j) mod d, ubar(k) -> (2k-1) mod d for k <= d,
     and ubar(d+1) -> 0. The column {vbar(.,d+1)} with 0 is a d-clique, so
-    d colors are necessary. Properness is verified before returning.
+    d colors are necessary. Properness is checked before returning.
     """
     d = inst.d
     coloring: dict[VertexLabel, int] = {VertexLabel.zero(): 1}
@@ -321,18 +263,50 @@ def grevlex_coloring(inst: GrevlexInstance) -> dict[VertexLabel, int]:
     coloring[VertexLabel.ubar(d + 1)] = 0
     for j, k in _vbar_range(d):
         coloring[VertexLabel.vbar(j, k)] = (k + j) % d
-    proper, used = pg.verify_coloring(grevlex_graph(inst), coloring)
-    if not (proper and used == d):
-        raise ImproperColoring("residue coloring failed verification")
-    return coloring
+    return checked_coloring(grevlex_graph(inst), coloring, d)
 
 
 def grevlex_antipodal(inst: GrevlexInstance) -> list[tuple[VertexLabel, VertexLabel]]:
     """Antipodal vertex pairs of Q: always (0, ubar(2)); d = 3 adds
     (vbar(1,3), vbar(2,4))."""
     pairs = list_antipodal_pairs(grevlex_hrep(inst), grevlex_vertices(inst))
-    expected = {frozenset((VertexLabel.zero(), VertexLabel.ubar(2)))}
-    if inst.d == 3:
-        expected.add(frozenset((VertexLabel.vbar(1, 3), VertexLabel.vbar(2, 4))))
-    assert {frozenset(p) for p in pairs} == expected, "antipodal census mismatch"
+    if {frozenset(p) for p in pairs} != GREVLEX.antipodal_pairs(inst):
+        raise CheckFailed("antipodal census mismatch")
     return pairs
+
+
+class GrevlexFamily(Family):
+    """The grevlex polytopes Q, through this module's public functions."""
+
+    name = "grevlex"
+    kind = OrderKind.GREVLEX
+
+    def apexes(self, inst: GrevlexInstance):
+        return VertexLabel.zero(), VertexLabel.ubar(2)
+
+    def antipodal_pairs(self, inst: GrevlexInstance) -> set[frozenset]:
+        """The apexes; d = 3 adds (vbar(1,3), vbar(2,4))."""
+        pairs = super().antipodal_pairs(inst)
+        if inst.d == 3:
+            pairs.add(frozenset((VertexLabel.vbar(1, 3), VertexLabel.vbar(2, 4))))
+        return pairs
+
+    def normal_ok(self, normal, r: int) -> bool:
+        """Nontrivial row r (0-based) has a_1 = ... = a_{r+1} > a_{r+2} >=
+        ... >= a_d >= 0."""
+        a = list(normal)
+        d = len(a)
+        r += 1  # 1-based nontrivial row number
+        if any(x < 0 for x in a):
+            return False
+        head_equal = all(a[i] == a[0] for i in range(r))
+        drop = a[r - 1] > a[r] if r < d else True
+        tail = all(a[i] >= a[i + 1] for i in range(r, d - 1))
+        return head_equal and drop and tail and a[d - 1] >= 0
+
+    def radius_diameter(self, inst: GrevlexInstance):
+        """Radius and diameter 2 for every theta."""
+        return 2, 2
+
+
+GREVLEX = GrevlexFamily()

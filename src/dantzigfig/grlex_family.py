@@ -4,9 +4,9 @@ Everything is derived from the bound vector theta: vertices, the facet
 matrix M (columns are edge directions at theta), its inverse N by an exact
 recursion, the 2d-row inequality system, symbolic vertex-facet incidence,
 the graph edge list, a Hamiltonian cycle, a proper d-coloring, and the
-expansion witness set. Each closed form is asserted against the generic
-numeric machinery at construction time, so a constructed instance is a
-verified one.
+expansion witness set. Each closed form is checked against the generic
+numeric machinery at construction time (by the shared builders of
+`family`), so a constructed instance is a verified one.
 
 When theta_k = 1 for some k >= 3 the points u(k) and v(k-1,k) coincide; the
 vertex keeps the v(k-1,k) label and the graph is the edge-contracted minor.
@@ -14,22 +14,29 @@ vertex keeps the v(k-1,k) label and the graph is the edge-contracted minor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
 from . import polytope_graph as pg
 from .exactmath import Matrix
+from .family import (
+    Family,
+    ThetaInstance,
+    check_inverse,
+    checked_coloring,
+    checked_cycle,
+    checked_edges,
+    checked_incidence,
+    hrep_from_inverse,
+)
+from .orders import OrderKind
 from .polytope_core import (
-    FacetId,
+    CheckFailed,
     HRep,
     IncidenceMatrix,
     VRep,
     VertexLabel,
-    adjacency_from_incidence,
-    check_theta,
-    incidence,
 )
 
 
@@ -37,43 +44,13 @@ class RequiresStrictTheta(ValueError):
     """Operation is only defined when every theta_i >= 2."""
 
 
-@dataclass(frozen=True)
-class GrlexInstance:
+class GrlexInstance(ThetaInstance):
     """A bound vector theta >= 1 with d >= 3, plus derived quantities."""
-
-    theta: tuple[int, ...]
-
-    def __post_init__(self):
-        check_theta(self.theta)
-
-    @property
-    def d(self) -> int:
-        return len(self.theta)
-
-    @property
-    def b(self) -> int:
-        return sum(self.theta)
-
-    @property
-    def btilde(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for t in self.theta:
-            acc += t
-            out.append(acc)
-        return tuple(out)
-
-    @property
-    def strict(self) -> bool:
-        return all(t >= 2 for t in self.theta)
 
     @property
     def merged_ks(self) -> tuple[int, ...]:
         """Indices k >= 3 whose u(k) coincides with v(k-1,k)."""
         return tuple(k for k in range(3, self.d + 1) if self.theta[k - 1] == 1)
-
-    def bt(self, k: int) -> int:
-        """btilde_k with 1-based k; bt(0) = 0."""
-        return self.btilde[k - 1] if k >= 1 else 0
 
 
 def make_grlex(theta) -> GrlexInstance:
@@ -123,10 +100,10 @@ def grlex_vertices(inst: GrlexInstance) -> VRep:
         for j in range(1, k):
             entries.append((VertexLabel.v(j, k), _v_coords(inst, j, k)))
     vrep = VRep(entries)
-    expected = (d * d + d + 2) // 2 - len(merged)
-    assert len(vrep) == expected, "vertex count mismatch"
-    for k in merged:
-        assert _u_coords(inst, k) == _v_coords(inst, k - 1, k)
+    if len(vrep) != GRLEX.vertex_count(inst):
+        raise CheckFailed("vertex count mismatch")
+    if any(_u_coords(inst, k) != _v_coords(inst, k - 1, k) for k in merged):
+        raise CheckFailed("a merged u(k) differs from v(k-1,k)")
     return vrep
 
 
@@ -150,7 +127,7 @@ def _p(inst: GrlexInstance, i: int, j: int) -> int:
 
 @lru_cache(maxsize=None)
 def grlex_facet_matrix_inverse(inst: GrlexInstance) -> Matrix:
-    """N = M^-1 by closed-form recursion; N·M = I is asserted."""
+    """N = M^-1 by closed-form recursion; N·M = I is checked."""
     d = inst.d
     th2 = inst.theta[1]
     n = [[Fraction(0)] * (d + 1) for _ in range(d + 1)]  # 1-based
@@ -164,22 +141,7 @@ def grlex_facet_matrix_inverse(inst: GrlexInstance) -> Matrix:
         n[1][j] = n[1][j + 1] + Fraction(_p(inst, 1, j - 1), th2)
         for i in range(2, d):
             n[i][j] = n[i][j + 1] + (_p(inst, i, j - 1) if j >= i else 0)
-    result = Matrix([row[1:] for row in n[1:]])
-    _assert_inverse(result, grlex_facet_matrix(inst), inst.d)
-    return result
-
-
-def _assert_inverse(n: Matrix, m: Matrix, d: int) -> None:
-    assert n * m == Matrix.identity(d), "closed-form inverse mismatch"
-
-
-def _facet_ids(inst: GrlexInstance) -> list[FacetId]:
-    ids = [FacetId.coord(i) for i in range(1, inst.d + 1)]
-    ids.append(FacetId.nontrivial(VertexLabel.v(1, 2)))
-    for r in range(2, inst.d):
-        ids.append(FacetId.nontrivial(u_label(inst, r + 1)))
-    ids.append(FacetId.grading())
-    return ids
+    return check_inverse(Matrix([row[1:] for row in n[1:]]), grlex_facet_matrix(inst))
 
 
 @lru_cache(maxsize=None)
@@ -188,21 +150,8 @@ def grlex_hrep(inst: GrlexInstance) -> HRep:
 
     The last nontrivial row is the grading inequality sum(x) <= b exactly.
     """
-    d = inst.d
-    n = grlex_facet_matrix_inverse(inst)
-    rows: list[tuple[list, object]] = []
-    for i in range(d):
-        normal = [0] * d
-        normal[i] = -1
-        rows.append((normal, 0))
-    for r in range(d):
-        normal = [-n[r, c] for c in range(d)]
-        beta = sum(a * t for a, t in zip(normal, inst.theta))
-        rows.append((normal, beta))
-    h = HRep(rows, _facet_ids(inst))
-    grading_normal, grading_rhs = h.normals[-1], h.rhs[-1]
-    assert grading_normal == (1,) * d and grading_rhs == inst.b
-    return h
+    missed = [VertexLabel.v(1, 2)] + [u_label(inst, k) for k in range(3, inst.d + 1)]
+    return hrep_from_inverse(inst, grlex_facet_matrix_inverse(inst), missed)
 
 
 def _symbolic_psi(inst: GrlexInstance) -> dict[VertexLabel, frozenset[int]]:
@@ -241,16 +190,11 @@ def _symbolic_psi(inst: GrlexInstance) -> dict[VertexLabel, frozenset[int]]:
 
 @lru_cache(maxsize=None)
 def grlex_incidence(inst: GrlexInstance) -> IncidenceMatrix:
-    """Symbolic incidence from the closed formulas, asserted against the
+    """Symbolic incidence from the closed formulas, checked against the
     numeric slack computation bit for bit."""
-    v = grlex_vertices(inst)
-    h = grlex_hrep(inst)
-    psi = _symbolic_psi(inst)
-    masks = [sum(1 << f for f in psi[label]) for label in v.labels()]
-    symbolic = IncidenceMatrix(v.labels(), list(h.ids), masks)
-    numeric = incidence(h, v)
-    assert symbolic.vertex_masks == numeric.vertex_masks, "incidence formula mismatch"
-    return symbolic
+    return checked_incidence(
+        grlex_hrep(inst), grlex_vertices(inst), _symbolic_psi(inst)
+    )
 
 
 def _strict_edge_pairs(inst: GrlexInstance) -> set[frozenset[VertexLabel]]:
@@ -301,7 +245,7 @@ def _strict_edge_pairs(inst: GrlexInstance) -> set[frozenset[VertexLabel]]:
 @lru_cache(maxsize=None)
 def grlex_edges(inst: GrlexInstance) -> tuple[tuple[VertexLabel, VertexLabel], ...]:
     """Closed-form edge list (contracted minor when theta has ones),
-    asserted equal to incidence-derived adjacency."""
+    checked equal to incidence-derived adjacency."""
     relabel = {VertexLabel.u(k): VertexLabel.v(k - 1, k) for k in inst.merged_ks}
     pairs = set()
     for edge in _strict_edge_pairs(inst):
@@ -309,11 +253,7 @@ def grlex_edges(inst: GrlexInstance) -> tuple[tuple[VertexLabel, VertexLabel], .
         a, b = relabel.get(a, a), relabel.get(b, b)
         if a != b:
             pairs.add(frozenset((a, b)))
-    closed = sorted(tuple(sorted(p, key=VertexLabel.sort_key)) for p in pairs)
-    derived = adjacency_from_incidence(grlex_hrep(inst), grlex_incidence(inst))
-    derived = sorted(tuple(sorted(p, key=VertexLabel.sort_key)) for p in derived)
-    assert closed == derived, "edge list disagrees with incidence adjacency"
-    return tuple(closed)
+    return checked_edges(pairs, grlex_hrep(inst), grlex_incidence(inst))
 
 
 def grlex_graph(inst: GrlexInstance) -> pg.PolytopeGraph:
@@ -351,32 +291,19 @@ def grlex_hamiltonian_cycle(inst: GrlexInstance) -> tuple[VertexLabel, ...]:
         cycle += [V(entry, k)] + [V(j, k) for j in middle] + [V(exit_j, k)]
         entry = exit_j
     cycle.append(VertexLabel.w())
-    graph = grlex_graph(inst)
-    if not pg.verify_hamiltonian(graph, cycle):
-        found = pg.find_hamiltonian_cycle(graph)
-        assert found is not None, "polytope graph unexpectedly non-Hamiltonian"
-        return tuple(found)
-    return tuple(cycle)
+    return checked_cycle(grlex_graph(inst), cycle)
 
 
-def grlex_coloring(inst: GrlexInstance) -> dict[VertexLabel, int]:
-    """A proper d-coloring of the polytope graph, for strict theta.
-
-    The labels theta, w, u(3)..u(d) form a d-clique, as does the last column
-    with 0, so d colors are necessary; the scheme below attains them:
+def _coloring_scheme(d: int) -> dict[VertexLabel, int]:
+    """The strict d-coloring scheme of grlex_coloring; it depends on d alone.
 
       d = 3:  0->2, theta->1, w->3, u(3)->2, v(1,2)->2, v(1,3)->1, v(2,3)->3
       d >= 4: 0->1, theta->1, w->d, u(k)->k-1,
               columns k <= d-1: v(1,k)->k, v(j,k)->k-j for j >= 2,
               column d: v(1,d)->d, v(j,d)->d+1-j for j >= 2.
-
-    Properness is verified against the edge list before returning.
     """
-    if not inst.strict:
-        raise RequiresStrictTheta("coloring formula needs every theta_i >= 2")
-    d = inst.d
     if d == 3:
-        coloring = {
+        return {
             VertexLabel.zero(): 2,
             VertexLabel.theta(): 1,
             VertexLabel.w(): 3,
@@ -385,54 +312,59 @@ def grlex_coloring(inst: GrlexInstance) -> dict[VertexLabel, int]:
             VertexLabel.v(1, 3): 1,
             VertexLabel.v(2, 3): 3,
         }
-    else:
-        coloring = {
-            VertexLabel.zero(): 1,
-            VertexLabel.theta(): 1,
-            VertexLabel.w(): d,
-        }
-        for k in range(3, d + 1):
-            coloring[VertexLabel.u(k)] = k - 1
-        for k in range(2, d):
-            coloring[VertexLabel.v(1, k)] = k
-            for j in range(2, k):
-                coloring[VertexLabel.v(j, k)] = k - j
-        coloring[VertexLabel.v(1, d)] = d
-        for j in range(2, d):
-            coloring[VertexLabel.v(j, d)] = d + 1 - j
-    proper, used = pg.verify_coloring(grlex_graph(inst), coloring)
-    assert proper and used == d, "coloring scheme failed verification"
+    coloring = {
+        VertexLabel.zero(): 1,
+        VertexLabel.theta(): 1,
+        VertexLabel.w(): d,
+    }
+    for k in range(3, d + 1):
+        coloring[VertexLabel.u(k)] = k - 1
+    for k in range(2, d):
+        coloring[VertexLabel.v(1, k)] = k
+        for j in range(2, k):
+            coloring[VertexLabel.v(j, k)] = k - j
+    coloring[VertexLabel.v(1, d)] = d
+    for j in range(2, d):
+        coloring[VertexLabel.v(j, d)] = d + 1 - j
     return coloring
 
 
+def grlex_coloring(inst: GrlexInstance) -> dict[VertexLabel, int]:
+    """A proper d-coloring of the polytope graph, for strict theta.
+
+    The labels theta, w, u(3)..u(d) form a d-clique, as does the last column
+    with 0, so d colors are necessary; the scheme of _coloring_scheme
+    attains them. Properness is checked against the edge list before
+    returning.
+    """
+    if not inst.strict:
+        raise RequiresStrictTheta("coloring formula needs every theta_i >= 2")
+    return checked_coloring(grlex_graph(inst), _coloring_scheme(inst.d), inst.d)
+
+
 def grlex_coloring_relaxed(inst: GrlexInstance) -> tuple[dict[VertexLabel, int], int]:
-    """Verified coloring for any theta >= 1 (merged minors included).
+    """Checked d-coloring for any theta >= 1 (merged minors included).
 
     Seeds the strict scheme restricted to surviving labels (a merged vertex
-    first tries its absorbed u(k) color), re-verifies on the minor, and
-    falls back to a bounded backtracking search. Returns (coloring, colors
-    used); properness is always verified, chromatic minimality is only
-    guaranteed when the search succeeds with d colors (a d-clique survives
-    contraction, so fewer is impossible).
+    then tries its absorbed u(k) color), checks it on the minor, and falls
+    back to a backtracking search with d colors. Returns (coloring, colors
+    used), always d: a d-clique survives contraction, so fewer is
+    impossible, and a minor that needs more raises CheckFailed.
     """
-    strict_twin = GrlexInstance(tuple(max(t, 2) for t in inst.theta))
-    base = grlex_coloring(strict_twin)
+    d = inst.d
+    base = _coloring_scheme(d)
     graph = grlex_graph(inst)
     seed = {label: base[label] for label in graph.labels}
     for variant in (None, *inst.merged_ks):
         if variant is not None:
             # merged v(k-1,k) absorbed u(k); try inheriting its color
             seed[VertexLabel.v(variant - 1, variant)] = base[VertexLabel.u(variant)]
-        proper, used = pg.verify_coloring(graph, seed)
-        if proper:
-            return seed, used
-    d = inst.d
+        if pg.verify_coloring(graph, seed) == (True, d):
+            return seed, d
     found = pg.proper_coloring_search(graph, d)
     if found is None:
-        found = pg.greedy_coloring(graph)
-    proper, used = pg.verify_coloring(graph, found)
-    assert proper
-    return found, used
+        raise CheckFailed(f"merged minor needs more than d = {d} colors")
+    return checked_coloring(graph, found, d), d
 
 
 def grlex_expansion_witness(
@@ -446,5 +378,48 @@ def grlex_expansion_witness(
     boundary = [
         e for e in grlex_edges(inst) if (e[0] in s) != (e[1] in s)
     ]
-    assert len(boundary) == len(s) == d, "witness ratio is not 1"
+    if not len(boundary) == len(s) == d:
+        raise CheckFailed("witness ratio is not 1")
     return s, len(boundary)
+
+
+class GrlexFamily(Family):
+    """The grlex polytopes P, through this module's public functions."""
+
+    name = "grlex"
+    kind = OrderKind.GRLEX
+
+    def coloring(self, inst: GrlexInstance):
+        """The strict scheme for strict theta, else the relaxed coloring."""
+        if inst.strict:
+            return super().coloring(inst)
+        return grlex_coloring_relaxed(inst)
+
+    def apexes(self, inst: GrlexInstance):
+        return VertexLabel.zero(), VertexLabel.theta()
+
+    def vertex_count(self, inst: GrlexInstance) -> int:
+        """One vertex fewer per merged u(k)."""
+        return super().vertex_count(inst) - len(inst.merged_ks)
+
+    def normal_ok(self, normal, r: int) -> bool:
+        """Nontrivial facet normals are nonnegative and nondecreasing."""
+        return all(a >= 0 for a in normal) and all(
+            normal[i] <= normal[i + 1] for i in range(len(normal) - 1)
+        )
+
+    def edge_count(self, inst: GrlexInstance):
+        """(d^3+2d)/3 for strict theta; merged minors claim no count."""
+        return super().edge_count(inst) if inst.strict else None
+
+    def radius_diameter(self, inst: GrlexInstance):
+        """Radius 2 and diameter 3 (2 at d = 3) for strict theta."""
+        if not inst.strict:
+            return None
+        return 2, 2 if inst.d == 3 else 3
+
+    def expansion_witness(self, inst: GrlexInstance):
+        return grlex_expansion_witness(inst) if inst.strict else None
+
+
+GRLEX = GrlexFamily()

@@ -17,7 +17,7 @@ from math import comb, gcd
 
 from .exactmath import Matrix, invert, primitive_row, rank_of_rows
 from .orders import Ordering, OrderKind, compare_lex, is_initial_segment_member
-from .polytope_core import HRep
+from .polytope_core import CheckFailed, HRep, check_theta_entries
 
 
 class BudgetExceeded(RuntimeError):
@@ -69,10 +69,13 @@ def enumerate_segment(
     Membership is decided twice per candidate: once by the graded
     comparator and once by the degree/lex decomposition (sum < b, or
     sum = b with the lex tiebreak in the direction the order dictates).
-    The two verdicts are asserted to agree. Raises BudgetExceeded when
-    the enclosing simplex holds more than point_cap lattice points.
+    The two verdicts must agree, else CheckFailed. Raises InvalidTheta
+    unless every entry is an int >= 1 (any d is enumerated), and
+    BudgetExceeded when the enclosing simplex holds more than point_cap
+    lattice points.
     """
-    theta = tuple(int(t) for t in theta)
+    theta = tuple(theta)
+    check_theta_entries(theta)
     d, b = len(theta), sum(theta)
     simplex_size = comb(b + d, d)
     if simplex_size > point_cap:
@@ -91,7 +94,8 @@ def enumerate_segment(
                 split = verdict is not Ordering.GREATER
             else:
                 split = verdict is not Ordering.LESS
-        assert direct == split, f"membership routes disagree at {x}"
+        if direct != split:
+            raise CheckFailed(f"membership routes disagree at {x}")
         if direct:
             keep.append(x)
     return LatticeSegment(kind=kind, theta=theta, points=tuple(keep))

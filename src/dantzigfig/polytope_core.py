@@ -3,8 +3,9 @@
 H- and V-representations over exact rationals, vertex-facet incidence,
 adjacency, tangent cones, the cone-coverage criterion, antipodal pair
 listing, and the two-cone H-representation builder used for Dantzig-figure
-certification, plus the theta check both families share. Everything here is
-dimension-agnostic; family-specific construction lives in the grlex/grevlex
+certification, plus the theta check and the CheckFailed error both families
+share. Everything here is dimension-agnostic; the construction recipe the
+families share lives in `family`, their closed forms in the grlex/grevlex
 modules.
 """
 
@@ -41,12 +42,24 @@ class InvalidTheta(ValueError):
     """theta must be a vector of positive integers."""
 
 
+class CheckFailed(AssertionError):
+    """A closed form disagreed with the independent route that checks it.
+
+    Raised explicitly, so the checks also run under ``python -O``.
+    """
+
+
+def check_theta_entries(theta: tuple) -> None:
+    """Raise InvalidTheta unless each entry is an int (not a bool) >= 1."""
+    if any(isinstance(t, bool) or not isinstance(t, int) or t < 1 for t in theta):
+        raise InvalidTheta(f"theta entries must be integers >= 1: {theta}")
+
+
 def check_theta(theta: tuple) -> None:
     """Raise unless theta has d >= 3 entries, each an int (not a bool) >= 1."""
     if len(theta) < 3:
         raise UnsupportedDimension(f"d = {len(theta)} < 3")
-    if any(isinstance(t, bool) or not isinstance(t, int) or t < 1 for t in theta):
-        raise InvalidTheta(f"theta entries must be integers >= 1: {theta}")
+    check_theta_entries(theta)
 
 
 @dataclass(frozen=True, order=False)

@@ -193,19 +193,6 @@ def proper_coloring_search(graph: PolytopeGraph, max_colors: int):
     return {graph.labels[i]: colors[i] for i in range(n)}
 
 
-def greedy_coloring(graph: PolytopeGraph) -> dict:
-    """Descending-degree greedy; proper but not necessarily optimal."""
-    order = sorted(range(len(graph)), key=lambda i: -graph.adj[i].bit_count())
-    colors = [0] * len(graph)
-    for v in order:
-        banned = {colors[j] for j in _bits(graph.adj[v]) if colors[j]}
-        c = 1
-        while c in banned:
-            c += 1
-        colors[v] = c
-    return {graph.labels[i]: colors[i] for i in range(len(graph))}
-
-
 @dataclass(frozen=True)
 class ExpansionResult:
     """Exact edge expansion h(G) with an achieving cut.

@@ -12,8 +12,8 @@ import random
 import time
 from fractions import Fraction
 
+from dantzigfig import FAMILIES
 from dantzigfig.exactmath import Matrix
-from dantzigfig.orders import OrderKind
 from dantzigfig.polytope_core import (
     VertexLabel,
     adjacency_from_incidence,
@@ -38,27 +38,6 @@ from dantzigfig.oracle import (
 )
 
 F = Fraction
-
-FAMILIES = {
-    "grlex": (
-        gl.make_grlex,
-        gl.grlex_vertices,
-        gl.grlex_hrep,
-        gl.grlex_incidence,
-        gl.grlex_edges,
-        gl.grlex_graph,
-        OrderKind.GRLEX,
-    ),
-    "grevlex": (
-        gv.make_grevlex,
-        gv.grevlex_vertices,
-        gv.grevlex_hrep,
-        gv.grevlex_incidence,
-        gv.grevlex_edges,
-        gv.grevlex_graph,
-        OrderKind.GREVLEX,
-    ),
-}
 
 
 def _line(capsys, number, slug, ok, elapsed, cap, extra=""):
@@ -107,11 +86,11 @@ def test_c01_vertex_sets_match_basis_oracle(capsys):
     try:
         for theta in SEGMENT_DRAWS:
             d = len(theta)
-            for make, vertices, hrep, *_ in FAMILIES.values():
-                inst = make(theta)
-                v = vertices(inst)
+            for fam in FAMILIES.values():
+                inst = fam.make(theta)
+                v = fam.vertices(inst)
                 assert len(v) == (d * d + d + 2) // 2
-                basis = hull_vertices_by_basis(hrep(inst))
+                basis = hull_vertices_by_basis(fam.hrep(inst))
                 assert basis.coordinate_set() == v.coordinate_set()
         assert time.perf_counter() - started < cap
         ok = True
@@ -125,11 +104,11 @@ def test_c02_edge_counts_and_adjacency(capsys):
     try:
         for theta in SEGMENT_DRAWS:
             d = len(theta)
-            for make, _v, hrep, incidence, edges, *_ in FAMILIES.values():
-                inst = make(theta)
-                closed = edges(inst)
+            for fam in FAMILIES.values():
+                inst = fam.make(theta)
+                closed = fam.edges(inst)
                 assert len(closed) == (d**3 + 2 * d) // 3
-                derived = adjacency_from_incidence(hrep(inst), incidence(inst))
+                derived = adjacency_from_incidence(fam.hrep(inst), fam.incidence(inst))
                 assert {frozenset(e) for e in closed} == {
                     frozenset(e) for e in derived
                 }
@@ -165,10 +144,10 @@ def test_c04_hull_equivalence_matrix(capsys):
     try:
         for family, theta in HULL_MATRIX:
             assert sum(theta) <= 25
-            make, vertices, hrep, _inc, _e, _g, kind = FAMILIES[family]
-            inst = make(theta)
-            segment = enumerate_segment(kind, theta)
-            report = verify_hull_equivalence(segment, hrep(inst), vertices(inst))
+            fam = FAMILIES[family]
+            inst = fam.make(theta)
+            segment = enumerate_segment(fam.kind, theta)
+            report = verify_hull_equivalence(segment, fam.hrep(inst), fam.vertices(inst))
             assert report["pass"], (family, theta, report)
         assert time.perf_counter() - started < cap
         ok = True
@@ -189,9 +168,9 @@ def test_c05_dantzig_antipodal_certification(capsys):
                 ("grevlex", (1,) * d),
             ]
             for family, theta in cases:
-                make, vertices, hrep, incidence, *_ = FAMILIES[family]
-                inst = make(theta)
-                h, v, inc = hrep(inst), vertices(inst), incidence(inst)
+                fam = FAMILIES[family]
+                inst = fam.make(theta)
+                h, v, inc = fam.hrep(inst), fam.vertices(inst), fam.incidence(inst)
                 apexes = (
                     (VertexLabel.zero(), VertexLabel.theta())
                     if family == "grlex"
@@ -342,8 +321,8 @@ def test_c09_monotone_facet_normals(capsys):
     cap, started, ok = 1.0, time.perf_counter(), False
     try:
         for family, theta in HULL_MATRIX:
-            make, _v, hrep, *_ = FAMILIES[family]
-            h = hrep(make(theta))
+            fam = FAMILIES[family]
+            h = fam.hrep(fam.make(theta))
             nontrivial = [
                 normal
                 for fid, (normal, _beta) in zip(h.ids, h.rows())
@@ -375,9 +354,9 @@ def test_c10_conic_characterization(capsys):
             (family, (2,) * d) for d in range(3, 7) for family in FAMILIES
         ]
         for family, theta in cases:
-            make, vertices, hrep, *_ = FAMILIES[family]
-            inst = make(theta)
-            h, v = hrep(inst), vertices(inst)
+            fam = FAMILIES[family]
+            inst = fam.make(theta)
+            h, v = fam.hrep(inst), fam.vertices(inst)
             apexes = (
                 (VertexLabel.zero(), VertexLabel.theta())
                 if family == "grlex"

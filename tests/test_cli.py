@@ -154,7 +154,7 @@ def test_verify_failing_suite_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(
         cli._SUITES,
         "vertices",
-        lambda family, inst, ops, budget: {"passed": False, "details": {}},
+        lambda family, inst, budget: {"passed": False, "details": {}},
     )
     code, out, _ = run(
         capsys, "verify", "--family", "grlex", "--theta", "2,2,2",
@@ -165,7 +165,7 @@ def test_verify_failing_suite_exits_1(capsys, monkeypatch):
 
 
 def test_internal_check_failure_exits_1(capsys, monkeypatch):
-    def boom(family, inst, ops, budget):
+    def boom(family, inst, budget):
         assert False, "synthetic failure"
 
     monkeypatch.setitem(cli._SUITES, "facets", boom)

@@ -1,4 +1,4 @@
-"""Exact matrix arithmetic: rank, inversion, solving, primitive scaling."""
+"""Exact matrix arithmetic: rank, inversion, primitive scaling."""
 
 from fractions import Fraction
 
@@ -13,7 +13,6 @@ from dantzigfig.exactmath import (
     primitive_row,
     rank,
     rank_of_rows,
-    solve_unique,
 )
 
 F = Fraction
@@ -57,23 +56,6 @@ def test_rank_equals_transpose_rank():
     assert rank(m) == rank(m.transpose()) == 2
 
 
-def test_solve_unique_reference():
-    # tight system at theta for the d=3 base instance
-    m = Matrix([[2, -2, -2], [-2, 3, -2], [0, -1, 3]])
-    assert solve_unique(m, [1, 0, 0]) == (F(-7, 2), -3, -1)
-
-
-def test_solve_unique_rational_rhs():
-    m = Matrix([[1, 1], [1, -1]])
-    x = solve_unique(m, [F(1, 2), F(1, 3)])
-    assert x == (F(5, 12), F(1, 12))
-
-
-def test_solve_singular_raises():
-    with pytest.raises(SingularError):
-        solve_unique(Matrix([[1, 1], [2, 2]]), [1, 2])
-
-
 def test_primitive_row():
     assert primitive_row([F(2, 3), F(4, 3)]) == (1, 2)
     assert primitive_row([-2, -4, 6]) == (-1, -2, 3)
@@ -109,17 +91,6 @@ def test_invert_round_trip(m):
         return
     assert inv * m == Matrix.identity(m.rows)
     assert m * inv == Matrix.identity(m.rows)
-
-
-@given(square_matrices(), st.lists(entries, min_size=1, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_solve_round_trip(m, rhs):
-    rhs = (rhs * 4)[: m.rows]
-    try:
-        x = solve_unique(m, rhs)
-    except SingularError:
-        return
-    assert m.mulvec(x) == tuple(Fraction(b) for b in rhs)
 
 
 @given(square_matrices(max_n=3))

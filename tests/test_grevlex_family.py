@@ -23,7 +23,12 @@ from dantzigfig.grevlex_family import (
     make_grevlex,
 )
 from dantzigfig import polytope_graph as pg
-from dantzigfig.polytope_core import InvalidTheta, UnsupportedDimension, VertexLabel
+from dantzigfig.polytope_core import (
+    CheckFailed,
+    InvalidTheta,
+    UnsupportedDimension,
+    VertexLabel,
+)
 
 UB, VB, ZERO = VertexLabel.ubar, VertexLabel.vbar, VertexLabel.zero()
 
@@ -99,13 +104,13 @@ def test_inverse_recursion_matches_generic_inversion(theta):
 
 
 def test_inverse_check_sees_every_row_at_d16():
-    from dantzigfig.grevlex_family import _assert_inverse
+    from dantzigfig.family import check_inverse
 
     inst = make_grevlex((2,) * 16)
     n = grevlex_facet_matrix_inverse(inst).tolists()
     n[5][3] += 1
-    with pytest.raises(AssertionError):
-        _assert_inverse(Matrix(n), grevlex_facet_matrix(inst), 16)
+    with pytest.raises(CheckFailed):
+        check_inverse(Matrix(n), grevlex_facet_matrix(inst))
 
 
 @pytest.mark.parametrize("theta", [(2.9, 2, 2), (True, 2, 2)])

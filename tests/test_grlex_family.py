@@ -26,6 +26,7 @@ from dantzigfig.grlex_family import (
 )
 from dantzigfig import polytope_graph as pg
 from dantzigfig.polytope_core import (
+    CheckFailed,
     FacetId,
     InvalidTheta,
     UnsupportedDimension,
@@ -113,13 +114,13 @@ def test_inverse_recursion_matches_generic_inversion(theta):
 
 
 def test_inverse_check_sees_every_row_at_d16():
-    from dantzigfig.grlex_family import _assert_inverse
+    from dantzigfig.family import check_inverse
 
     inst = make_grlex((2,) * 16)
     n = grlex_facet_matrix_inverse(inst).tolists()
     n[5][3] += 1
-    with pytest.raises(AssertionError):
-        _assert_inverse(Matrix(n), grlex_facet_matrix(inst), 16)
+    with pytest.raises(CheckFailed):
+        check_inverse(Matrix(n), grlex_facet_matrix(inst))
 
 
 @pytest.mark.parametrize("theta", [(2.9, 2, 2), (True, 2, 2)])
@@ -365,6 +366,20 @@ def test_coloring_relaxed_on_merged(theta):
     proper, n = pg.verify_coloring(grlex_graph(inst), col)
     assert proper and used == n
     assert used >= len(theta)  # the d-clique survives contraction
+
+
+def test_coloring_relaxed_builds_no_second_instance():
+    # the strict scheme depends on d alone, so no strict twin is built
+    grlex_edges.cache_clear()
+    _, used = grlex_coloring_relaxed(make_grlex((2, 1, 2, 1, 1)))
+    assert used == 5 and grlex_edges.cache_info().currsize == 1
+
+
+def test_coloring_relaxed_raises_when_search_fails(monkeypatch):
+    monkeypatch.setattr(pg, "verify_coloring", lambda graph, coloring: (False, 0))
+    monkeypatch.setattr(pg, "proper_coloring_search", lambda graph, k: None)
+    with pytest.raises(CheckFailed):
+        grlex_coloring_relaxed(make_grlex((2, 1, 2, 1)))
 
 
 def test_expansion_witness_base():

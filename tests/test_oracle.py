@@ -28,7 +28,7 @@ from dantzigfig.oracle import (
     verify_hull_equivalence,
 )
 from dantzigfig.orders import OrderKind
-from dantzigfig.polytope_core import HRep
+from dantzigfig.polytope_core import HRep, InvalidTheta
 from dantzigfig.grlex_family import grlex_hrep, grlex_vertices, make_grlex
 from dantzigfig.grevlex_family import (
     grevlex_hrep,
@@ -104,6 +104,13 @@ def test_segment_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_segment(OrderKind.GRLEX, (50, 50, 50, 50, 50), point_cap=1000)
     assert DEFAULT_POINT_CAP == 2_000_000
+
+
+@pytest.mark.parametrize("theta", [(2.9, 2, 2), (True, 2, 2), (0, 2, 2), (2, -1)])
+def test_segment_rejects_invalid_theta(theta):
+    # coercing these would enumerate the segment of another theta
+    with pytest.raises(InvalidTheta):
+        enumerate_segment(OrderKind.GRLEX, theta)
 
 
 # ------------------------------------------------------ vertex oracle

@@ -13,7 +13,6 @@ from dantzigfig.polytope_graph import (
     cut_edges,
     edge_expansion_exact,
     find_hamiltonian_cycle,
-    greedy_coloring,
     proper_coloring_search,
     radius_and_diameter,
     verify_coloring,
@@ -106,8 +105,6 @@ def test_proper_coloring_search():
     col = proper_coloring_search(cycle_graph(5), 3)
     assert col and verify_coloring(cycle_graph(5), col) == (True, 3)
     assert proper_coloring_search(complete_graph(4), 3) is None
-    col = greedy_coloring(complete_graph(4))
-    assert verify_coloring(complete_graph(4), col) == (True, 4)
 
 
 def test_expansion_k4_frozen():
