@@ -55,9 +55,7 @@ def _suite_vertices(fam, inst, budget) -> dict:
     v = fam.vertices(inst)
     expected = fam.vertex_count(inst)
     basis = oracle.hull_vertices_by_basis(fam.hrep(inst))
-    basis_match = basis.coordinate_set() == frozenset(
-        tuple(map(int, coords)) for _, coords in v
-    )
+    basis_match = basis.coordinate_set() == v.coordinate_set()
     return {
         "passed": len(v) == expected and basis_match,
         "details": {
@@ -91,19 +89,13 @@ def _suite_incidence(fam, inst, budget) -> dict:
     h = fam.hrep(inst)
     v = fam.vertices(inst)
     d = inst.d
-    vertex_bits_ok = all(
-        inc.vertex_masks[i].bit_count() >= d for i in range(len(v))
-    )
+    vertex_bits_ok = all(m.bit_count() >= d for m in inc.vertex_masks)
     facet_bits_ok = all(m.bit_count() >= d for m in inc.facet_masks)
-    ridge_ok = all(
-        facet_spans_ridge(h, v, f) for f in range(len(h.normals))
-    )
+    ridge_ok = all(facet_spans_ridge(h, v, f, inc) for f in range(len(h.normals)))
     return {
         "passed": vertex_bits_ok and facet_bits_ok and ridge_ok,
         "details": {
-            "facet_vertex_counts": sorted(
-                (m.bit_count() for m in inc.facet_masks), reverse=True
-            ),
+            "facet_vertex_counts": sorted(inc.facet_vertex_counts(), reverse=True),
             "vertex_bits_ok": vertex_bits_ok,
             "facets_span_ridges": ridge_ok,
         },
@@ -113,12 +105,13 @@ def _suite_incidence(fam, inst, budget) -> dict:
 def _suite_dantzig(fam, inst, budget) -> dict:
     h = fam.hrep(inst)
     v = fam.vertices(inst)
+    inc = fam.incidence(inst)
     a, b = fam.apexes(inst)
-    cover_pair = cone_cover_test(h, v, {a, b})
-    cover_zero_only = cone_cover_test(h, v, {a})
-    pairs = list_antipodal_pairs(h, v)
+    cover_pair = cone_cover_test(h, v, {a, b}, inc)
+    cover_zero_only = cone_cover_test(h, v, {a}, inc)
+    pairs = list_antipodal_pairs(h, v, inc)
     pairs_ok = {frozenset(p) for p in pairs} == fam.antipodal_pairs(inst)
-    rebuilt = dantzig_hrep(tangent_cone(h, v, a), tangent_cone(h, v, b))
+    rebuilt = dantzig_hrep(tangent_cone(h, v, a, inc), tangent_cone(h, v, b, inc))
     hrep_match = rebuilt.same_polytope_rows(h)
     return {
         "passed": cover_pair and not cover_zero_only and pairs_ok and hrep_match,

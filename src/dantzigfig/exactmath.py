@@ -1,8 +1,9 @@
-"""Exact rational matrices and fraction-free elimination.
+"""Exact integer and rational matrices and fraction-free elimination.
 
-All arithmetic is over `fractions.Fraction`; there is no floating point in
-this module. Elimination is Bareiss-style on an integer-scaled copy of the
-matrix, so intermediate values stay integral and division is always exact.
+Arithmetic is exact integer arithmetic, with `fractions.Fraction` only where
+a value is not integral (the entries of a `Matrix` and of an inverse); there
+is no floating point in this module. Elimination is Bareiss-style on integer
+rows (a `Matrix` is scaled to integers first), so division is always exact.
 """
 
 from __future__ import annotations
@@ -18,22 +19,15 @@ class SingularError(ValueError):
     """Raised when a matrix expected to be invertible is rank-deficient."""
 
 
-def _as_fraction_rows(entries: Iterable[Iterable]) -> list[list[Fraction]]:
-    rows = [[Fraction(e) for e in row] for row in entries]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-    return rows
-
-
 class Matrix:
     """Dense exact-rational matrix (immutable after construction)."""
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, entries: Iterable[Iterable]):
-        data = _as_fraction_rows(entries)
+        data = [[Fraction(e) for e in row] for row in entries]
+        if any(len(row) != len(data[0]) for row in data):
+            raise ValueError("ragged rows")
         self._data = data
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
@@ -45,9 +39,6 @@ class Matrix:
     def __getitem__(self, rc: tuple[int, int]) -> Fraction:
         r, c = rc
         return self._data[r][c]
-
-    def row(self, r: int) -> tuple[Fraction, ...]:
-        return tuple(self._data[r])
 
     def col(self, c: int) -> tuple[Fraction, ...]:
         return tuple(self._data[r][c] for r in range(self.rows))
@@ -65,9 +56,6 @@ class Matrix:
             and self.cols == other.cols
             and self._data == other._data
         )
-
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self._data))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -97,13 +85,13 @@ def _integer_scaled(data: list[list[Fraction]]) -> list[list[int]]:
     return out
 
 
-def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _bareiss_echelon(mat: Sequence[Sequence[int]]) -> tuple[list, list[int]]:
     """Fraction-free forward elimination; returns echelon rows and pivot cols.
 
     Pivot choice is the first row with a nonzero entry in column order, so
     intermediate states are deterministic.
     """
-    m = [row[:] for row in mat]
+    m = list(mat)
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
@@ -117,15 +105,14 @@ def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
+        row_r = m[r]
+        pivot = row_r[c]
         for i in range(r + 1, nrows):
             head = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            pivot = row_r[c]
-            for j in range(c, ncols):
-                # Bareiss update: exact integer division by the previous pivot
-                row_i[j] = (pivot * row_i[j] - head * row_r[j]) // prev
-        prev = m[r][c]
+            # Bareiss update: exact integer division by the previous pivot
+            # (columns before c are zero in rows r.. and stay zero)
+            m[i] = [(pivot * a - head * b) // prev for a, b in zip(m[i], row_r)]
+        prev = pivot
         pivots.append(c)
         r += 1
     return m, pivots
@@ -133,18 +120,18 @@ def _bareiss_echelon(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 
 def rank(m: Matrix) -> int:
     """Exact rank over the rationals."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, pivots = _bareiss_echelon(_integer_scaled(m.tolists()))
-    return len(pivots)
+    return rank_of_rows(_integer_scaled(m.tolists()))
 
 
-def rank_of_rows(rows: Sequence[Sequence]) -> int:
-    """Rank of a list of row vectors (convenience wrapper)."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    return rank(Matrix(rows))
+def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank of a list of integer row vectors. The rows with a single
+    nonzero entry (coordinate planes, say) add one per distinct column; that
+    column is dropped from the other rows, and Bareiss elimination ranks them."""
+    supports = [[c for c, a in enumerate(row) if a] for row in rows]
+    units = {s[0] for s in supports if len(s) == 1}
+    rest = [row for row, s in zip(rows, supports) if len(s) != 1]
+    rest = [[a for c, a in enumerate(row) if c not in units] for row in rest]
+    return len(units) + len(_bareiss_echelon(rest)[1])
 
 
 def invert(m: Matrix) -> Matrix:

@@ -17,7 +17,7 @@ from math import comb, gcd
 
 from .exactmath import Matrix, invert, primitive_row, rank_of_rows
 from .orders import Ordering, OrderKind, compare_lex, is_initial_segment_member
-from .polytope_core import CheckFailed, HRep, check_theta_entries
+from .polytope_core import CheckFailed, HRep, VRep, check_theta_entries
 
 
 class BudgetExceeded(RuntimeError):
@@ -198,7 +198,7 @@ def hull_vertices_by_basis(h: HRep) -> BasisVertexSet:
     )
 
 
-def verify_hull_equivalence(segment: LatticeSegment, h: HRep, v) -> dict:
+def verify_hull_equivalence(segment: LatticeSegment, h: HRep, v: VRep) -> dict:
     """Cross-checks tying the lattice segment, the HRep, and the VRep.
 
     (a) every segment point satisfies the inequalities; (b) vertex
@@ -207,10 +207,9 @@ def verify_hull_equivalence(segment: LatticeSegment, h: HRep, v) -> dict:
     tight subsystem. Returns per-check booleans plus overall "pass".
     """
     basis = hull_vertices_by_basis(h)
-    vcoords = {tuple(Fraction(c) for c in coords) for _, coords in v}
     report = {
         "segment_in_hrep": all(h.contains(x) for x in segment.points),
-        "basis_equals_closed_form": basis.coordinate_set() == frozenset(vcoords),
+        "basis_equals_closed_form": basis.coordinate_set() == v.coordinate_set(),
         "vertices_in_segment": all(
             tuple(int(c) for c in coords) in segment for _, coords in v
         ),

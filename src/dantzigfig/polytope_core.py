@@ -1,18 +1,22 @@
 """Generic exact polytope machinery.
 
-H- and V-representations over exact rationals, vertex-facet incidence,
+H- and V-representations with integer normals and exact (integer where
+integral, else rational) right-hand sides, vertex-facet incidence,
 adjacency, tangent cones, the cone-coverage criterion, antipodal pair
 listing, and the two-cone H-representation builder used for Dantzig-figure
 certification, plus the theta check and the CheckFailed error both families
 share. Everything here is dimension-agnostic; the construction recipe the
 families share lives in `family`, their closed forms in the grlex/grevlex
-modules.
+modules. The functions that read the incidence of (h, v) take it as an
+optional `inc` (a family passes its cached one) and compute it when omitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exactmath import Matrix, SingularError, invert, primitive_row, rank_of_rows
@@ -163,12 +167,21 @@ class FacetId:
         return f"<{self}>"
 
 
+def _over_common_denominator(point: Sequence) -> tuple[Sequence[int], int]:
+    """Integer numerators of a rational point and their common denominator."""
+    if all(type(x) is int for x in point):
+        return point, 1
+    den = lcm(*(Fraction(x).denominator for x in point))
+    return [int(x * den) for x in point], den
+
+
 class HRep:
     """Inequality system A·x <= beta with primitive integer normals.
 
-    Rows are stored as (normal tuple, rhs Fraction); construction rescales
-    each row by a positive rational so the normal is integral with gcd 1.
-    ``ids`` optionally names each facet.
+    Rows are stored as (normal tuple, rhs); construction rescales each row
+    by a positive rational so the normal is integral with gcd 1. The rhs is
+    then an int when integral, else a Fraction. ``ids`` optionally names
+    each facet.
     """
 
     __slots__ = ("normals", "rhs", "ids", "dim")
@@ -179,16 +192,14 @@ class HRep:
         ids: Optional[Sequence[FacetId]] = None,
     ):
         normals: list[tuple[int, ...]] = []
-        rhs: list[Fraction] = []
+        rhs: list[int | Fraction] = []
         for normal, beta in rows:
-            nf = [Fraction(a) for a in normal]
-            if all(a == 0 for a in nf):
-                raise ValueError("zero facet normal")
-            prim = primitive_row(nf)
-            # factor is positive because primitive_row only rescales
-            factor = next(Fraction(p) / a for p, a in zip(prim, nf) if a != 0)
+            prim = primitive_row(normal)  # ValueError for a zero normal
+            # the factor is positive because primitive_row only rescales
+            factor = next(Fraction(p) / a for p, a in zip(prim, normal) if a)
+            beta = Fraction(beta) * factor
             normals.append(prim)
-            rhs.append(Fraction(beta) * factor)
+            rhs.append(beta.numerator if beta.denominator == 1 else beta)
         self.normals = tuple(normals)
         self.rhs = tuple(rhs)
         if not normals:
@@ -203,24 +214,24 @@ class HRep:
     def __len__(self) -> int:
         return len(self.normals)
 
-    def rows(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def rows(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         return list(zip(self.normals, self.rhs))
 
     def contains(self, point: Sequence) -> bool:
-        p = [Fraction(x) for x in point]
+        p, den = _over_common_denominator(point)
         return all(
-            sum(a * x for a, x in zip(n, p)) <= b
-            for n, b in zip(self.normals, self.rhs)
+            sum(map(mul, n, p)) <= b * den for n, b in zip(self.normals, self.rhs)
         )
 
-    def slacks(self, point: Sequence) -> tuple[Fraction, ...]:
-        p = [Fraction(x) for x in point]
-        return tuple(
-            b - sum(a * x for a, x in zip(n, p))
-            for n, b in zip(self.normals, self.rhs)
-        )
+    def slacks(self, point: Sequence) -> tuple[int | Fraction, ...]:
+        """beta - a·x per row: ints for an integral point and rhs."""
+        p, den = _over_common_denominator(point)
+        dots = (sum(map(mul, n, p)) for n in self.normals)
+        if den > 1:
+            dots = (Fraction(dot, den) for dot in dots)
+        return tuple(b - dot for b, dot in zip(self.rhs, dots))
 
-    def canonical_rows(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    def canonical_rows(self) -> tuple[tuple[tuple[int, ...], int | Fraction], ...]:
         return tuple(sorted(zip(self.normals, self.rhs)))
 
     def same_polytope_rows(self, other: "HRep") -> bool:
@@ -345,27 +356,34 @@ def incidence(h: HRep, v: VRep) -> IncidenceMatrix:
     return IncidenceMatrix(labels, ids, masks)
 
 
+def _adjacent(h: HRep, inc: IncidenceMatrix, i: int, j: int) -> bool:
+    """Whether vertices i and j span an edge. The combinatorial test comes
+    first: no third vertex is on every facet tight at both, i.e. the AND of
+    those facet masks is {i, j}; it is exact for a complete vertex list.
+    The pairs that pass must also have tight normals of rank d-1, which
+    rejects a non-edge of an incomplete list."""
+    common = inc.vertex_masks[i] & inc.vertex_masks[j]
+    if common.bit_count() < h.dim - 1:
+        return False
+    tight = [f for f in range(len(h)) if common >> f & 1]
+    shared = (1 << len(inc.labels)) - 1
+    for f in tight:
+        shared &= inc.facet_masks[f]
+    if shared != 1 << i | 1 << j:
+        return False
+    return rank_of_rows([h.normals[f] for f in tight]) == h.dim - 1
+
+
 def adjacency_from_incidence(h: HRep, inc: IncidenceMatrix) -> list[tuple]:
-    """Vertex adjacency: common tight rows of rank d-1 and no third vertex
-    tight on all of them. Returns unordered label pairs, deterministic order."""
+    """Vertex adjacency (see _adjacent) over all pairs. Returns unordered
+    label pairs, deterministic order."""
     n = len(inc.labels)
-    d = h.dim
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = inc.vertex_masks[i] & inc.vertex_masks[j]
-            if common.bit_count() < d - 1:
-                continue
-            rows = [h.normals[f] for f in range(len(h)) if common >> f & 1]
-            if rank_of_rows(rows) != d - 1:
-                continue
-            if any(
-                t != i and t != j and inc.vertex_masks[t] & common == common
-                for t in range(n)
-            ):
-                continue
-            edges.append((inc.labels[i], inc.labels[j]))
-    return edges
+    return [
+        (inc.labels[i], inc.labels[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if _adjacent(h, inc, i, j)
+    ]
 
 
 @dataclass
@@ -374,58 +392,58 @@ class TangentCone:
 
     apex: tuple[int, ...]
     generators: list[tuple[int, ...]]
-    tight_rows: list[tuple[tuple[int, ...], Fraction]]
+    tight_rows: list[tuple[tuple[int, ...], int | Fraction]]
 
     def hrep(self) -> HRep:
         """The cone as inequalities; the apex is tight on every row."""
         return HRep([(n, sum(a * x for a, x in zip(n, self.apex))) for n, _ in self.tight_rows])
 
 
-def tangent_cone(h: HRep, v: VRep, label) -> TangentCone:
+def tangent_cone(
+    h: HRep, v: VRep, label, inc: Optional[IncidenceMatrix] = None
+) -> TangentCone:
     """Cone of the polytope at one vertex.
 
     Args:
         h: facet system of the polytope.
         v: its labeled vertex list.
         label: which vertex; UnknownLabel if absent.
+        inc: the incidence of (h, v); computed when omitted.
 
     Returns:
         TangentCone with generators (neighbor - vertex) for every neighbor in
-        the polytope graph, and the tight inequality rows at the vertex.
+        the polytope graph, in vertex order, and the tight inequality rows at
+        the vertex.
     """
     apex = v.coords(label)
-    inc = incidence(h, v)
+    inc = incidence(h, v) if inc is None else inc
     i = inc.labels.index(label)
     vm = inc.vertex_masks[i]
     tight = [(h.normals[f], h.rhs[f]) for f in range(len(h)) if vm >> f & 1]
-    generators = []
-    for a, b in adjacency_from_incidence(h, inc):
-        other = None
-        if a == label:
-            other = b
-        elif b == label:
-            other = a
-        if other is not None:
-            nb = v.coords(other)
-            generators.append(tuple(x - y for x, y in zip(nb, apex)))
+    generators = [
+        tuple(x - y for x, y in zip(v.coords(other), apex))
+        for j, other in enumerate(inc.labels)
+        if j != i and _adjacent(h, inc, i, j)
+    ]
     if not generators:
         raise ValueError("vertex has no neighbors")
     return TangentCone(apex, generators, tight)
 
 
-def cone_cover_test(h: HRep, v: VRep, s: Iterable) -> bool:
+def cone_cover_test(
+    h: HRep, v: VRep, s: Iterable, inc: Optional[IncidenceMatrix] = None
+) -> bool:
     """Coverage criterion: the polytope equals the intersection of its vertex
     cones at S iff every facet contains some vertex of S."""
     members = list(s)
     if not members:
         raise EmptySet("need at least one vertex label")
-    inc = incidence(h, v)
-    idx = []
+    inc = incidence(h, v) if inc is None else inc
+    s_mask = 0
     for label in members:
         if label not in inc.labels:
             raise UnknownLabel(label)
-        idx.append(inc.labels.index(label))
-    s_mask = sum(1 << i for i in idx)
+        s_mask |= 1 << inc.labels.index(label)
     return all(fm & s_mask for fm in inc.facet_masks)
 
 
@@ -453,30 +471,30 @@ def dantzig_hrep(cone_u: TangentCone, cone_v: TangentCone) -> HRep:
     return HRep(rows)
 
 
-def list_antipodal_pairs(h: HRep, v: VRep) -> list[tuple]:
+def list_antipodal_pairs(
+    h: HRep, v: VRep, inc: Optional[IncidenceMatrix] = None
+) -> list[tuple]:
     """All unordered vertex pairs whose incidences partition the facet set
     (every facet contains exactly one of the two)."""
-    inc = incidence(h, v)
+    inc = incidence(h, v) if inc is None else inc
+    n, masks = len(inc.labels), inc.vertex_masks
     full = (1 << len(inc.facet_ids)) - 1
-    pairs = []
-    n = len(inc.labels)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mi, mj = inc.vertex_masks[i], inc.vertex_masks[j]
-            if mi & mj == 0 and mi | mj == full:
-                pairs.append((inc.labels[i], inc.labels[j]))
-    return pairs
+    return [
+        (inc.labels[i], inc.labels[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if masks[i] ^ masks[j] == full
+    ]
 
 
-def facet_spans_ridge(h: HRep, v: VRep, facet_index: int) -> bool:
+def facet_spans_ridge(
+    h: HRep, v: VRep, facet_index: int, inc: Optional[IncidenceMatrix] = None
+) -> bool:
     """Facet certificate: the facet's incident vertices affinely span a
     (d-1)-dimensional set."""
-    inc = incidence(h, v)
-    on_facet = [
-        coords
-        for (label, coords), vm in zip(v, inc.vertex_masks)
-        if vm >> facet_index & 1
-    ]
+    inc = incidence(h, v) if inc is None else inc
+    fm = inc.facet_masks[facet_index]
+    on_facet = [v.coords(label) for i, label in enumerate(inc.labels) if fm >> i & 1]
     if len(on_facet) < h.dim:
         return False
     base = on_facet[0]

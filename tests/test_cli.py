@@ -176,6 +176,32 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch):
     assert code == 1 and "verification failed" in err
 
 
+@pytest.mark.parametrize("family", ["grlex", "grevlex"])
+def test_verify_computes_the_numeric_incidence_once(capsys, monkeypatch, family):
+    from dantzigfig import family as family_module
+    from dantzigfig import grevlex_family, grlex_family, polytope_core
+
+    calls = []
+    original = polytope_core.incidence
+
+    def counted(h, v):
+        calls.append(len(v))
+        return original(h, v)
+
+    for module in (polytope_core, family_module):
+        monkeypatch.setattr(module, "incidence", counted)
+    for module in (grlex_family, grevlex_family):  # start from cold caches
+        for function in vars(module).values():
+            if hasattr(function, "cache_clear"):
+                function.cache_clear()
+    code, out, _ = run(
+        capsys, "verify", "--family", family, "--theta", "2,3,2,2",
+        "--suites", "incidence,dantzig,graph",
+    )
+    assert code == 0 and json.loads(out)["passed"]
+    assert len(calls) == 1
+
+
 # ------------------------------------------------------------ compare
 
 

@@ -17,6 +17,14 @@ from dantzigfig.polytope_core import CheckFailed
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+@pytest.mark.parametrize("name", ["grlex", "grevlex"])
+@pytest.mark.parametrize("theta", [(2, 2, 2), (3, 1, 4, 1), (3, 3, 2, 2, 2)])
+def test_hrep_rhs_entries_are_ints(name, theta):
+    fam = FAMILIES[name]
+    h = fam.hrep(fam.make(theta))
+    assert all(type(beta) is int for beta in h.rhs)
+
+
 def test_registry_names_kinds_and_cli_choices(capsys):
     assert list(FAMILIES) == ["grlex", "grevlex"]
     assert FAMILIES["grlex"].kind is OrderKind.GRLEX

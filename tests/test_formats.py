@@ -44,6 +44,12 @@ def test_ine_round_trip():
     assert back.same_polytope_rows(h)
 
 
+def test_parse_ine_keeps_a_rational_rhs():
+    h = parse_ine("H-representation\nbegin\n 2 2 rational\n 1/2 -1\n 3 1\nend\n")
+    assert h.rhs == (F(1, 2), 3)
+    assert type(h.rhs[0]) is Fraction and type(h.rhs[1]) is int
+
+
 def test_parse_ine_skips_comments_and_blanks():
     text = "* produced elsewhere\n\n" + GRLEX_222_INE + "\n* trailing note\n"
     h = parse_ine(text)

@@ -294,3 +294,54 @@ def test_exported_theta_errors_catch_both_families(make):
         make((0, 1, 1))
     with pytest.raises(dantzigfig.UnsupportedDimension):
         make((1, 1))
+
+
+# ------------------------------------------- the rank test behind the masks
+
+
+def cube_missing_two_vertices():
+    """The unit cube with z <= 1 also given as 2z <= 2, listed without
+    (1,0,1) and (0,1,1). The pair (0,0,1), (1,1,1) then passes the
+    facet-mask test, but its common rows (the two copies of z <= 1) have
+    rank 1."""
+    h, v = unit_cube()
+    h = HRep(h.rows() + [((0, 0, 2), 2)])
+    v = VRep([(label, c) for label, c in v if label not in ("101", "011")])
+    return h, v
+
+
+def test_rank_test_rejects_a_mask_only_pair():
+    h, v = cube_missing_two_vertices()
+    inc = incidence(h, v)
+    i, j = v.labels().index("001"), v.labels().index("111")
+    common = inc.vertex_masks[i] & inc.vertex_masks[j]
+    shared = [fm for f, fm in enumerate(inc.facet_masks) if common >> f & 1]
+    assert all(fm == 1 << i | 1 << j for fm in shared)  # the masks pass
+    edges = {frozenset(e) for e in adjacency_from_incidence(h, inc)}
+    assert frozenset(("001", "111")) not in edges
+    assert len(edges) == 6
+
+
+def test_tangent_cone_skips_a_mask_only_pair():
+    h, v = cube_missing_two_vertices()
+    cone = tangent_cone(h, v, "001", incidence(h, v))
+    assert (1, 1, 0) not in cone.generators
+    assert cone.generators == [(0, 0, -1)]
+
+
+def test_rank_test_runs_only_on_mask_survivors(monkeypatch):
+    # with a complete vertex list every pair that passes the facet masks
+    # is an edge, so the rank test runs once per edge
+    from dantzigfig import polytope_core
+
+    fam = dantzigfig.FAMILIES["grevlex"]
+    inst = fam.make((3, 2, 2, 2, 2))
+    h, v = fam.hrep(inst), fam.vertices(inst)
+    inc = incidence(h, v)
+    calls = []
+    rank = polytope_core.rank_of_rows
+    monkeypatch.setattr(
+        polytope_core, "rank_of_rows", lambda rows: calls.append(rows) or rank(rows)
+    )
+    edges = adjacency_from_incidence(h, inc)
+    assert len(edges) == fam.edge_count(inst) == len(calls)
