@@ -107,9 +107,9 @@ def _suite_dantzig(fam, inst, budget) -> dict:
     v = fam.vertices(inst)
     inc = fam.incidence(inst)
     a, b = fam.apexes(inst)
-    cover_pair = cone_cover_test(h, v, {a, b}, inc)
-    cover_zero_only = cone_cover_test(h, v, {a}, inc)
-    pairs = list_antipodal_pairs(h, v, inc)
+    cover_pair = cone_cover_test(inc, {a, b})
+    cover_zero_only = cone_cover_test(inc, {a})
+    pairs = list_antipodal_pairs(inc)
     pairs_ok = {frozenset(p) for p in pairs} == fam.antipodal_pairs(inst)
     rebuilt = dantzig_hrep(tangent_cone(h, v, a, inc), tangent_cone(h, v, b, inc))
     hrep_match = rebuilt.same_polytope_rows(h)

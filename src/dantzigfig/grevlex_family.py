@@ -269,9 +269,7 @@ def grevlex_coloring(inst: GrevlexInstance) -> dict[VertexLabel, int]:
 def grevlex_antipodal(inst: GrevlexInstance) -> list[tuple[VertexLabel, VertexLabel]]:
     """Antipodal vertex pairs of Q: always (0, ubar(2)); d = 3 adds
     (vbar(1,3), vbar(2,4))."""
-    pairs = list_antipodal_pairs(
-        grevlex_hrep(inst), grevlex_vertices(inst), grevlex_incidence(inst)
-    )
+    pairs = list_antipodal_pairs(grevlex_incidence(inst))
     if {frozenset(p) for p in pairs} != GREVLEX.antipodal_pairs(inst):
         raise CheckFailed("antipodal census mismatch")
     return pairs

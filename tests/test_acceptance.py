@@ -19,6 +19,7 @@ from dantzigfig.polytope_core import (
     adjacency_from_incidence,
     cone_cover_test,
     dantzig_hrep,
+    incidence,
     list_antipodal_pairs,
     tangent_cone,
 )
@@ -187,7 +188,7 @@ def test_c05_dantzig_antipodal_certification(capsys):
                             (VertexLabel.vbar(1, 3), VertexLabel.vbar(2, 4))
                         )
                     )
-                pairs = {frozenset(p) for p in list_antipodal_pairs(h, v)}
+                pairs = {frozenset(p) for p in list_antipodal_pairs(inc)}
                 assert pairs == expected, (family, theta, pairs)
         assert time.perf_counter() - started < cap
         ok = True
@@ -357,15 +358,16 @@ def test_c10_conic_characterization(capsys):
             fam = FAMILIES[family]
             inst = fam.make(theta)
             h, v = fam.hrep(inst), fam.vertices(inst)
+            inc = incidence(h, v)
             apexes = (
                 (VertexLabel.zero(), VertexLabel.theta())
                 if family == "grlex"
                 else (VertexLabel.zero(), VertexLabel.ubar(2))
             )
-            assert cone_cover_test(h, v, set(apexes))
-            assert not cone_cover_test(h, v, {VertexLabel.zero()})
+            assert cone_cover_test(inc, set(apexes))
+            assert not cone_cover_test(inc, {VertexLabel.zero()})
             rebuilt = dantzig_hrep(
-                tangent_cone(h, v, apexes[0]), tangent_cone(h, v, apexes[1])
+                tangent_cone(h, v, apexes[0], inc), tangent_cone(h, v, apexes[1], inc)
             )
             assert rebuilt.same_polytope_rows(h)
         assert time.perf_counter() - started < cap

@@ -219,34 +219,35 @@ def test_pyramid_incidence_and_apex_degeneracy():
 
 def test_pyramid_has_no_antipodal_pair():
     h, v = pentagonal_pyramid()
-    assert list_antipodal_pairs(h, v) == []
+    assert list_antipodal_pairs(incidence(h, v)) == []
 
 
 def test_facet_spans_ridge():
     h, v = pentagonal_pyramid()
+    inc = incidence(h, v)
     for f in range(len(h.normals)):
-        assert facet_spans_ridge(h, v, f)
+        assert facet_spans_ridge(h, v, f, inc)
     hs, vs = unit_square()
-    assert facet_spans_ridge(hs, vs, 0)
+    assert facet_spans_ridge(hs, vs, 0, incidence(hs, vs))
 
 
 # ---------------------------------------------------------- cones, pairs
 
 
 def test_cone_cover_unit_square():
-    h, v = unit_square()
-    assert cone_cover_test(h, v, {"00", "11"})
-    assert not cone_cover_test(h, v, {"00"})
-    assert cone_cover_test(h, v, {"00", "10", "01", "11"})
+    inc = incidence(*unit_square())
+    assert cone_cover_test(inc, {"00", "11"})
+    assert not cone_cover_test(inc, {"00"})
+    assert cone_cover_test(inc, {"00", "10", "01", "11"})
     with pytest.raises(EmptySet):
-        cone_cover_test(h, v, set())
+        cone_cover_test(inc, set())
     with pytest.raises(UnknownLabel):
-        cone_cover_test(h, v, {"nope"})
+        cone_cover_test(inc, {"nope"})
 
 
 def test_tangent_cone_square_corner():
     h, v = unit_square()
-    cone = tangent_cone(h, v, "00")
+    cone = tangent_cone(h, v, "00", incidence(h, v))
     assert sorted(cone.generators) == [(0, 1), (1, 0)]
     assert cone.apex == (0, 0)
     assert len(cone.tight_rows) == 2
@@ -256,16 +257,18 @@ def test_tangent_cone_square_corner():
 
 def test_dantzig_hrep_square():
     h, v = unit_square()
-    cu = tangent_cone(h, v, "00")
-    cv = tangent_cone(h, v, "11")
+    inc = incidence(h, v)
+    cu = tangent_cone(h, v, "00", inc)
+    cv = tangent_cone(h, v, "11", inc)
     rebuilt = dantzig_hrep(cu, cv)
     assert rebuilt.same_polytope_rows(h)
 
 
 def test_dantzig_hrep_rejects_non_simplicial():
     h, v = pentagonal_pyramid()
-    apex_cone = tangent_cone(h, v, "apex")  # 5 generators in R^3
-    base_cone = tangent_cone(h, v, "b0")
+    inc = incidence(h, v)
+    apex_cone = tangent_cone(h, v, "apex", inc)  # 5 generators in R^3
+    base_cone = tangent_cone(h, v, "b0", inc)
     with pytest.raises(NonSimplicialCone):
         dantzig_hrep(apex_cone, base_cone)
 
@@ -330,14 +333,23 @@ def test_tangent_cone_skips_a_mask_only_pair():
 
 
 def test_rank_test_runs_only_on_mask_survivors(monkeypatch):
-    # with a complete vertex list every pair that passes the facet masks
-    # is an edge, so the rank test runs once per edge
+    # 47 pairs share d-1 = 4 facets but only 45 are edges; with a complete
+    # vertex list the facet masks reject the other 2, so the rank test runs
+    # once per edge
     from dantzigfig import polytope_core
 
     fam = dantzigfig.FAMILIES["grevlex"]
     inst = fam.make((3, 2, 2, 2, 2))
     h, v = fam.hrep(inst), fam.vertices(inst)
     inc = incidence(h, v)
+    masks = inc.vertex_masks
+    candidates = [
+        (i, j)
+        for i in range(len(masks))
+        for j in range(i + 1, len(masks))
+        if (masks[i] & masks[j]).bit_count() >= h.dim - 1
+    ]
+    assert len(candidates) == 47
     calls = []
     rank = polytope_core.rank_of_rows
     monkeypatch.setattr(

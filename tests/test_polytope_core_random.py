@@ -160,7 +160,6 @@ def test_incidence_and_adjacency_match_referee(hv):
         expected = ref_generators(h, v, i)
         if expected:
             assert tangent_cone(h, v, label, inc).generators == expected
-            assert tangent_cone(h, v, label).generators == expected
         else:
             with pytest.raises(ValueError):
                 tangent_cone(h, v, label, inc)
@@ -174,7 +173,5 @@ def test_cover_and_antipodal_pairs_match_referee(hv, data):
     members = data.draw(
         st.sets(st.sampled_from(v.labels()), min_size=1, max_size=len(v))
     )
-    assert cone_cover_test(h, v, members, inc) == ref_cover(h, v, members)
-    assert cone_cover_test(h, v, members) == ref_cover(h, v, members)
-    assert list_antipodal_pairs(h, v, inc) == ref_antipodal(h, v)
-    assert list_antipodal_pairs(h, v) == ref_antipodal(h, v)
+    assert cone_cover_test(inc, members) == ref_cover(h, v, members)
+    assert list_antipodal_pairs(inc) == ref_antipodal(h, v)
