@@ -1,9 +1,10 @@
 """Small exact graph toolkit for polytope graphs.
 
 Vertices are arbitrary hashable labels; adjacency is kept as per-vertex
-bitmasks so BFS, cut counting, and subset enumeration stay cheap at the
-sizes we care about (a few dozen vertices). Edge expansion is computed
-exactly over all subsets, with Fraction-valued ratios.
+bitmasks so BFS, cut counting, and the expansion search stay cheap at the
+sizes we care about (a few dozen vertices). Edge expansion is exact: a
+branch and bound over all cuts, compared in integers, with a
+Fraction-valued result.
 """
 
 from __future__ import annotations
@@ -208,12 +209,22 @@ class ExpansionResult:
 
 
 def edge_expansion_exact(graph: PolytopeGraph, max_vertices: int = 24) -> ExpansionResult:
-    """Exhaustive exact edge expansion via anchored Gray-code enumeration.
+    """Exact edge expansion by branch and bound over anchored cuts.
 
-    Every unordered bipartition is visited once as the subset containing
-    vertex 0; the cut size is updated incrementally per single-vertex flip.
-    Ties prefer smaller witnesses, then lexicographically smaller label
-    tuples. Raises TooLarge past max_vertices (default 24).
+    Every unordered bipartition is the subset S holding vertex 0; the
+    search decides the other vertices in or out in greedy connectivity
+    order, trying first the side that adds fewer cut edges. A node is
+    pruned by the cut between its decided sides plus, for each undecided
+    vertex, the smaller of its edge counts to the two sides, compared in
+    integers against the best ratio times the largest min(|S|, n - |S|)
+    it can still reach; a node that only ties the best ratio is kept while
+    a tying cut below it could still have an equal or smaller one.
+
+    Among the cuts of least ratio, the witness is the one with the least
+    min(|S|, n - |S|), then the lexicographically smallest sorted tuple
+    of str(label). Both are read from the smaller side, and from the side
+    holding vertex 0 when |S| = n/2. Raises TooLarge past max_vertices
+    (default 24).
     """
     n = len(graph)
     if n > max_vertices:
@@ -221,7 +232,6 @@ def edge_expansion_exact(graph: PolytopeGraph, max_vertices: int = 24) -> Expans
     if n < 2:
         raise ValueError("expansion needs at least 2 vertices")
     adj = graph.adj
-    deg = [m.bit_count() for m in adj]
     label_keys = [str(lab) for lab in graph.labels]
     full = (1 << n) - 1
 
@@ -229,42 +239,72 @@ def edge_expansion_exact(graph: PolytopeGraph, max_vertices: int = 24) -> Expans
         side = m if 2 * m.bit_count() <= n else full & ~m
         return tuple(sorted(label_keys[i] for i in _bits(side)))
 
-    mask = 1  # S = {vertex 0}, the anchor
-    size = 1
-    cut = deg[0]
-    best_cut, best_size = cut, 1
-    best_key = side_key(mask)
+    # decision order: each next vertex has the most edges into those before
+    order, placed = [0], 1
+    while len(order) < n:
+        v = max(
+            (i for i in range(n) if not placed >> i & 1),
+            key=lambda i: ((adj[i] & placed).bit_count(), -i),
+        )
+        order.append(v)
+        placed |= 1 << v
+    rank = {v: pos for pos, v in enumerate(order)}
+    later = [[u for u in _bits(adj[v]) if rank[u] > rank[v]] for v in range(n)]
 
-    for step in range(1, 1 << (n - 1)):
-        v = (step & -step).bit_length()  # flipped non-anchor vertex index
-        bit = 1 << v
-        if mask & bit:
-            mask ^= bit
-            size -= 1
-            cut -= deg[v] - 2 * (adj[v] & mask).bit_count()
-        else:
-            cut += deg[v] - 2 * (adj[v] & mask).bit_count()
-            mask ^= bit
-            size += 1
-        eff = min(size, n - size)
-        if eff == 0:
-            continue
-        # compare cut/eff against best_cut/best_size with integers only
-        lhs, rhs = cut * best_size, best_cut * eff
-        if lhs > rhs or (lhs == rhs and eff > best_size):
-            continue
-        if lhs < rhs or eff < best_size:
-            best_cut, best_size = cut, eff
-            best_key = side_key(mask)
-        else:  # exact tie: keep the lexicographically smaller witness
-            best_key = min(best_key, side_key(mask))
+    to_in = [adj[v] & 1 for v in range(n)]  # edges into the decided in-side
+    to_out = [0] * n  # edges into the decided out-side
+    best = [adj[0].bit_count(), 1, side_key(1)]  # cut, eff, key; S = {0}
 
-    order = {key: i for i, key in enumerate(label_keys)}
-    witness = tuple(
-        graph.labels[order[k]] for k in best_key
-    )
+    def search(pos: int, inside: int, cut: int, slack: int) -> None:
+        # cut joins the decided sides; slack is what the undecided add at least
+        best_cut, best_eff, best_key = best
+        if pos == n:
+            size = inside.bit_count()
+            eff = min(size, n - size)
+            if eff == 0:
+                return
+            lhs, rhs = cut * best_eff, best_cut * eff
+            if lhs < rhs or (lhs == rhs and eff <= best_eff):
+                key = side_key(inside)
+                if lhs < rhs or eff < best_eff or key < best_key:
+                    best[:] = cut, eff, key
+            return
+        low = inside.bit_count()
+        high = min(low + n - pos, n - 1)  # |S| = n leaves no cut
+        near = min(max(n // 2, low), high)
+        eff_max = min(near, n - near)
+        bound = cut + slack
+        lhs, rhs = bound * best_eff, best_cut * eff_max
+        if lhs > rhs:
+            return
+        if lhs == rhs:
+            # a leaf tying the best ratio has eff = eff_max, or any
+            # reachable eff when the bound and the best cut are both 0
+            eff_tie = min(low, n - high) if bound == 0 else eff_max
+            if eff_tie > best_eff:
+                return
+        v = order[pos]
+        a, b = to_in[v], to_out[v]
+        slack -= min(a, b)
+        for go_in in (True, False) if b <= a else (False, True):
+            mine, other = (to_in, to_out) if go_in else (to_out, to_in)
+            grow = 0
+            for u in later[v]:
+                grow += mine[u] < other[u]
+                mine[u] += 1
+            if go_in:
+                search(pos + 1, inside | 1 << v, cut + b, slack + grow)
+            else:
+                search(pos + 1, inside, cut + a, slack + grow)
+            for u in later[v]:
+                mine[u] -= 1
+
+    search(1, 1, 0, 0)
+    best_cut, best_eff, best_key = best
+    order_of = {key: i for i, key in enumerate(label_keys)}
+    witness = tuple(graph.labels[order_of[k]] for k in best_key)
     return ExpansionResult(
-        value=Fraction(best_cut, best_size),
+        value=Fraction(best_cut, best_eff),
         witness=witness,
         boundary=best_cut,
     )

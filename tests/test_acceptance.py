@@ -243,7 +243,7 @@ def test_c07_edge_expansion(capsys):
     cap, started, ok = 300.0, time.perf_counter(), False
     reported = []
     try:
-        # exhaustive exact expansion, both families
+        # exact expansion, both families
         for d in range(3, 7):
             p = gl.make_grlex((2,) * d)
             result = edge_expansion_exact(gl.grlex_graph(p))
@@ -251,8 +251,17 @@ def test_c07_edge_expansion(capsys):
             q = gv.make_grevlex((2,) * d)
             qres = edge_expansion_exact(gv.grevlex_graph(q))
             reported.append(f"d={d}:{qres.value}")
-        # the designated witness set achieves ratio 1 beyond the
-        # exhaustive range
+        # past the default 24-vertex cap: grevlex d = 7 (n = 29) and the
+        # grlex ratio 1 up to d = 9 (n = 46)
+        graph = gv.grevlex_graph(gv.make_grevlex((2,) * 7))
+        qres = edge_expansion_exact(graph, max_vertices=len(graph))
+        assert qres.value == F(32, 13), qres.value
+        reported.append(f"d=7:{qres.value}")
+        for d in range(7, 10):
+            graph = gl.grlex_graph(gl.make_grlex((2,) * d))
+            result = edge_expansion_exact(graph, max_vertices=len(graph))
+            assert result.value == 1, (d, result.value)
+        # the designated witness set achieves ratio 1
         for d in range(3, 9):
             p = gl.make_grlex((2,) * d)
             witness, _claimed = gl.grlex_expansion_witness(p)

@@ -6,23 +6,28 @@ enumerated by double description, are lattice points; a rational rhs
 survives on the rows that no vertex is tight on. The referee below uses
 only Fraction arithmetic, `exactmath.rank(Matrix(...))` and every vertex
 pair, which is how the integer routines in `polytope_core` are checked
-on inputs that come from neither family.
+on inputs that come from neither family. `dantzig_hrep` is checked on the
+tangent cones of two simplicial vertices against rows solved by Cramer's
+rule with Leibniz determinants.
 """
 
 from fractions import Fraction
-from math import lcm
+from itertools import permutations
+from math import lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dantzigfig.exactmath import Matrix, rank
 from dantzigfig.oracle import hull_vertices_by_basis
 from dantzigfig.polytope_core import (
     HRep,
+    NonSimplicialCone,
     VRep,
     adjacency_from_incidence,
     cone_cover_test,
+    dantzig_hrep,
     incidence,
     list_antipodal_pairs,
     tangent_cone,
@@ -114,6 +119,37 @@ def ref_antipodal(h, v) -> list[tuple]:
     ]
 
 
+def ref_det(m) -> int:
+    d = len(m)
+    return sum(
+        (-1) ** sum(p[i] > p[j] for i in range(d) for j in range(i + 1, d))
+        * prod(m[i][p[i]] for i in range(d))
+        for p in permutations(range(d))
+    )
+
+
+def ref_cone_rows(cone):
+    """Rows n·x <= n·apex with n·g_j = -[j == r] for generator j, one per
+    r; None unless the cone is simplicial."""
+    gens, d = cone.generators, len(cone.apex)
+    det = ref_det(gens) if len(gens) == d else 0
+    if det == 0:
+        return None
+    rows = []
+    for r in range(d):
+        # Cramer: column c of the generator matrix replaced by -e_r
+        normal = [
+            Fraction(
+                ref_det([[-int(j == r) if k == c else g[k] for k in range(d)]
+                         for j, g in enumerate(gens)]),
+                det,
+            )
+            for c in range(d)
+        ]
+        rows.append((normal, sum(n * x for n, x in zip(normal, cone.apex))))
+    return rows
+
+
 # ------------------------------------------------------------------ tests
 
 
@@ -175,3 +211,25 @@ def test_cover_and_antipodal_pairs_match_referee(hv, data):
     )
     assert cone_cover_test(inc, members) == ref_cover(h, v, members)
     assert list_antipodal_pairs(inc) == ref_antipodal(h, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hv=lattice_polytopes(), data=st.data())
+def test_dantzig_hrep_matches_referee(hv, data):
+    h, v = hv
+    inc = incidence(h, v)
+    cones = [
+        tangent_cone(h, v, label, inc)
+        for i, label in enumerate(v.labels())
+        if ref_generators(h, v, i)
+    ]
+    simplicial = [c for c in cones if ref_cone_rows(c) is not None]
+    assume(len(simplicial) >= 2)
+    cu, cv = data.draw(st.permutations(simplicial))[:2]
+    rebuilt = dantzig_hrep(cu, cv)
+    assert rebuilt.rows() == HRep(ref_cone_rows(cu) + ref_cone_rows(cv)).rows()
+    assert all(rebuilt.contains(c) for _, c in v)  # each cone holds P
+    for cone in cones:
+        if ref_cone_rows(cone) is None:
+            with pytest.raises(NonSimplicialCone):
+                dantzig_hrep(cu, cone)

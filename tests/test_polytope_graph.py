@@ -1,10 +1,14 @@
 """Graph toolkit: metrics, Hamiltonicity, coloring, exact expansion."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from dantzigfig import FAMILIES
 from dantzigfig.polytope_graph import (
+    ExpansionResult,
     Disconnected,
     LabelMismatch,
     PolytopeGraph,
@@ -145,6 +149,133 @@ def test_expansion_too_large():
         edge_expansion_exact(cycle_graph(8), max_vertices=6)
     result = edge_expansion_exact(cycle_graph(8), max_vertices=8)
     assert result.value == Fraction(2, 4)
+
+
+def test_expansion_half_split_key_comes_from_the_anchor_side():
+    # path z-y-a-b: the one best cut splits it in halves; the witness is
+    # the half holding vertex 0 ("z"), not the smaller labels ("a", "b")
+    g = PolytopeGraph.from_edges(
+        ["z", "y", "a", "b"], [("z", "y"), ("y", "a"), ("a", "b")]
+    )
+    result = edge_expansion_exact(g)
+    assert result == ExpansionResult(Fraction(1, 2), ("y", "z"), 1)
+    assert gray_code_expansion(g) == result
+
+
+# ------------------------------------------------ Gray-code referee
+
+
+def gray_code_expansion(graph: PolytopeGraph) -> ExpansionResult:
+    """Every anchored cut in Gray-code order: 2^(n-1) steps.
+
+    Every unordered bipartition is visited once as the subset containing
+    vertex 0; the cut size is updated incrementally per single-vertex
+    flip. Ties go to the smaller min(|S|, n - |S|), then to the
+    lexicographically smaller sorted str(label) tuple of the smaller side
+    (of the side holding vertex 0 when |S| = n/2).
+    """
+    n = len(graph)
+    adj = graph.adj
+    deg = [m.bit_count() for m in adj]
+    label_keys = [str(lab) for lab in graph.labels]
+    full = (1 << n) - 1
+
+    def side_key(m: int):
+        side = m if 2 * m.bit_count() <= n else full & ~m
+        return tuple(sorted(label_keys[i] for i in range(n) if side >> i & 1))
+
+    mask = 1  # S = {vertex 0}, the anchor
+    size = 1
+    cut = deg[0]
+    best_cut, best_size = cut, 1
+    best_key = side_key(mask)
+
+    for step in range(1, 1 << (n - 1)):
+        v = (step & -step).bit_length()  # flipped non-anchor vertex index
+        bit = 1 << v
+        if mask & bit:
+            mask ^= bit
+            size -= 1
+            cut -= deg[v] - 2 * (adj[v] & mask).bit_count()
+        else:
+            cut += deg[v] - 2 * (adj[v] & mask).bit_count()
+            mask ^= bit
+            size += 1
+        eff = min(size, n - size)
+        if eff == 0:
+            continue
+        lhs, rhs = cut * best_size, best_cut * eff
+        if lhs > rhs or (lhs == rhs and eff > best_size):
+            continue
+        if lhs < rhs or eff < best_size:
+            best_cut, best_size = cut, eff
+            best_key = side_key(mask)
+        else:
+            best_key = min(best_key, side_key(mask))
+
+    order = {key: i for i, key in enumerate(label_keys)}
+    witness = tuple(graph.labels[order[k]] for k in best_key)
+    return ExpansionResult(Fraction(best_cut, best_size), witness, best_cut)
+
+
+def family_graphs():
+    """grevlex (2,...,2) and every grlex merge pattern (2, 2, 1|2, ...) at
+    d = 3..6; the all-2 pattern is the strict grlex instance."""
+    grlex, grevlex = FAMILIES["grlex"], FAMILIES["grevlex"]
+    for d in range(3, 7):
+        yield f"grevlex-{d}", grevlex.graph(grevlex.make((2,) * d))
+        for tail in product((1, 2), repeat=d - 2):
+            theta = (2, 2) + tail
+            yield f"grlex-{theta}", grlex.graph(grlex.make(theta))
+
+
+def random_graphs(count=400, seed=2016):
+    """Labels in shuffled order; sparse draws are often disconnected, with
+    h = 0 and many tied zero cuts."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(2, 13)
+        p = rng.choice([0.1, 0.2, 0.35, 0.5, 0.8])
+        labels = [f"r{j}" for j in rng.sample(range(100), n)]
+        edges = [
+            (labels[i], labels[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < p
+        ]
+        yield f"random-{k}", PolytopeGraph.from_edges(labels, edges)
+
+
+def hypercube_graph(k):
+    labels = [format(i, f"0{k}b") for i in range(1 << k)]
+    edges = [
+        (labels[i], labels[i ^ (1 << j)])
+        for i in range(1 << k)
+        for j in range(k)
+        if i < i ^ (1 << j)
+    ]
+    return PolytopeGraph.from_edges(labels, edges)
+
+
+def tied_graphs():
+    """Cycles, complete graphs and hypercubes: many cuts share the ratio."""
+    for n in range(3, 17):
+        yield f"cycle-{n}", cycle_graph(n)
+    for n in range(2, 13):
+        yield f"complete-{n}", complete_graph(n)
+    for k in range(1, 5):
+        yield f"hypercube-{k}", hypercube_graph(k)
+
+
+@pytest.mark.parametrize(
+    "graphs", [family_graphs, random_graphs, tied_graphs], ids=lambda f: f.__name__
+)
+def test_expansion_matches_gray_code_referee(graphs):
+    for name, graph in graphs():
+        assert len(graph) <= 22
+        result = edge_expansion_exact(graph)
+        assert result == gray_code_expansion(graph), name
+        assert len(cut_edges(graph, result.witness)) == result.boundary, name
 
 
 def test_cut_edges():
