@@ -284,8 +284,7 @@ def _graph_invariants(fam, inst) -> dict:
         "degree_multiset": list(graph.degree_multiset()),
         "max_degree": max(graph.degree_multiset()),
         "facet_vertex_counts": sorted(
-            (m.bit_count() for m in fam.incidence(inst).facet_masks),
-            reverse=True,
+            fam.incidence(inst).facet_vertex_counts(), reverse=True
         ),
     }
 

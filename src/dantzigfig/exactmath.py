@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -39,9 +40,6 @@ class Matrix:
     def __getitem__(self, rc: tuple[int, int]) -> Fraction:
         r, c = rc
         return self._data[r][c]
-
-    def col(self, c: int) -> tuple[Fraction, ...]:
-        return tuple(self._data[r][c] for r in range(self.rows))
 
     def tolists(self) -> list[list[Fraction]]:
         return [list(r) for r in self._data]
@@ -75,27 +73,25 @@ class Matrix:
         return f"Matrix({self.tolists()!r})"
 
 
-def _integer_scaled(data: list[list[Fraction]]) -> list[list[int]]:
+def _integer_scaled(data: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
     # Row scaling by the lcm of denominators preserves rank and the solution
     # set of each row's equation, and lets elimination run over plain ints.
-    out = []
-    for row in data:
-        mult = lcm(*(f.denominator for f in row)) if row else 1
-        out.append([int(f * mult) for f in row])
-    return out
+    scales = [lcm(*(f.denominator for f in row)) for row in data]
+    return [[int(f * s) for f in row] for row, s in zip(data, scales)], scales
 
 
-def _bareiss_echelon(mat: Sequence[Sequence[int]]) -> tuple[list, list[int]]:
-    """Fraction-free forward elimination; returns echelon rows and pivot cols.
+def bareiss_echelon(mat: Sequence[Sequence[int]]) -> tuple[list, list[int], int]:
+    """Fraction-free forward elimination: echelon rows, pivot columns, and
+    the sign of the row permutation applied.
 
     Pivot choice is the first row with a nonzero entry in column order, so
-    intermediate states are deterministic.
+    the pivot columns are the first independent columns, in order.
     """
     m = list(mat)
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
-    prev = 1
+    prev = sign = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -105,6 +101,7 @@ def _bareiss_echelon(mat: Sequence[Sequence[int]]) -> tuple[list, list[int]]:
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
         row_r = m[r]
         pivot = row_r[c]
         for i in range(r + 1, nrows):
@@ -115,12 +112,12 @@ def _bareiss_echelon(mat: Sequence[Sequence[int]]) -> tuple[list, list[int]]:
         prev = pivot
         pivots.append(c)
         r += 1
-    return m, pivots
+    return m, pivots, sign
 
 
 def rank(m: Matrix) -> int:
     """Exact rank over the rationals."""
-    return rank_of_rows(_integer_scaled(m.tolists()))
+    return rank_of_rows(_integer_scaled(m.tolists())[0])
 
 
 def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
@@ -131,40 +128,43 @@ def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
     units = {s[0] for s in supports if len(s) == 1}
     rest = [row for row, s in zip(rows, supports) if len(s) != 1]
     rest = [[a for c, a in enumerate(row) if c not in units] for row in rest]
-    return len(units) + len(_bareiss_echelon(rest)[1])
+    return len(units) + len(bareiss_echelon(rest)[1])
+
+
+def adjugate(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Adjugate and determinant of a square integer matrix: adj·m = det·I.
+
+    Bareiss elimination on [m | I] leaves U·x = c with last pivot det; the
+    back substitution y_i = (det·c_i - sum U_ij y_j) / U_ii divides exactly,
+    as y = det·x is integral (Cramer's rule). Raises SingularError unless
+    m is square of full rank.
+    """
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise SingularError("matrix not square")
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    ech, pivots, sign = bareiss_echelon(aug)
+    if pivots[:n] != list(range(n)):
+        raise SingularError("rank deficient")
+    det = ech[n - 1][n - 1] if n else 1
+    cols = []
+    for k in range(n):
+        y = [0] * n
+        for i, row in reversed(list(enumerate(ech))):
+            done = sum(map(mul, row[i + 1 : n], y[i + 1 :]))
+            y[i] = (det * row[n + k] - done) // row[i]
+        cols.append(y)
+    # y = det(P·m)·m^-1 for the row permutation P, and det(P·m) = sign·det(m)
+    return [[sign * y for y in row] for row in zip(*cols)], sign * det
 
 
 def invert(m: Matrix) -> Matrix:
-    """Exact inverse via fraction-free elimination on [m | I].
-
-    Raises SingularError when ``m`` is not square of full rank.
-    """
-    if m.rows != m.cols:
-        raise SingularError("matrix not square")
-    n = m.rows
-    if n == 0:
-        return Matrix([])
-    data = m.tolists()
-    scaled = _integer_scaled(data)
-    # Scaling row i by s_i means we invert D*A with D = diag(s); then
-    # A^-1 = (D*A)^-1 * D, i.e. scale column j of the inverse by s_j.
-    scales = [(lcm(*(f.denominator for f in row)) if row else 1) for row in data]
-    aug = [srow + [1 if i == j else 0 for j in range(n)] for i, srow in enumerate(scaled)]
-    ech, pivots = _bareiss_echelon(aug)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
-        raise SingularError("rank deficient")
-    # Back substitution over exact rationals on the echelon form.
-    rows_f = [[Fraction(e) for e in row] for row in ech[:n]]
-    inv_cols: list[list[Fraction]] = []
-    for k in range(n):
-        x: list[Fraction] = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            acc = rows_f[i][n + k] - sum(rows_f[i][j] * x[j] for j in range(i + 1, n))
-            x[i] = acc / rows_f[i][i]
-        inv_cols.append(x)
-    inv = Matrix(zip(*inv_cols))
-    # Undo the row scaling of the input: (DA)^-1 D = A^-1.
-    return Matrix([[inv[i, j] * scales[j] for j in range(n)] for i in range(n)])
+    """Exact inverse adj(D·m)·D / det(D·m), where the diagonal D scales the
+    rows of m to integers. Raises SingularError unless m is square of full
+    rank."""
+    ints, scales = _integer_scaled(m.tolists())
+    adj, det = adjugate(ints)
+    return Matrix([[Fraction(a * s, det) for a, s in zip(r, scales)] for r in adj])
 
 
 def primitive_row(entries: Sequence[Fraction]) -> tuple[int, ...]:

@@ -10,12 +10,13 @@ closed form, so they catch errors in the clever code.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd
 
-from .exactmath import Matrix, invert, primitive_row, rank_of_rows
+from .exactmath import adjugate, bareiss_echelon, primitive_row, rank_of_rows
 from .orders import Ordering, OrderKind, compare_lex, is_initial_segment_member
 from .polytope_core import CheckFailed, HRep, VRep, check_theta_entries
 
@@ -26,6 +27,10 @@ class BudgetExceeded(RuntimeError):
 
 class UnboundedSuspected(RuntimeError):
     """A recession direction was detected; vertex enumeration refused."""
+
+
+class NotFullDimensional(RuntimeError):
+    """The vertices span less than the full dimension; facets undecided."""
 
 
 DEFAULT_POINT_CAP = 2_000_000
@@ -105,7 +110,7 @@ def enumerate_segment(
 class BasisVertexSet:
     """Vertices of an HRep in sorted order, with their tight row indices."""
 
-    coords: tuple[tuple[Fraction, ...], ...]
+    coords: tuple[tuple[int | Fraction, ...], ...]
     tight_rows: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
@@ -125,27 +130,25 @@ def _extreme_rays(h: HRep) -> list[tuple[tuple[int, ...], int]]:
     row i of h). A (+,-) pair makes a new ray only if it passes the
     combinatorial adjacency test: no third ray is tight on every row on
     which both rays of the pair are tight. Raises UnboundedSuspected when
-    the rows have rank below d+1, i.e. the polyhedron contains a line.
+    the rows have rank below d+1 (the polyhedron contains a line) or a ray
+    has t = 0 (a recession direction), so each ray (x, t) is a vertex x/t.
     """
     d = h.dim
     rows = [(0,) * d + (-1,)] + [
         tuple(a * beta.denominator for a in normal) + (-beta.numerator,)
         for normal, beta in h.rows()
     ]
-    start: list[int] = []
-    for i in range(len(rows)):
-        if rank_of_rows([rows[j] for j in start + [i]]) > len(start):
-            start.append(i)
-            if len(start) == d + 1:
-                break
-    else:
+    start = bareiss_echelon(list(zip(*rows)))[1]  # first independent rows
+    if len(start) < d + 1:
         raise UnboundedSuspected("the polyhedron contains a line")
-    # column j of -B^-1 is tight on every start row except start[j]
-    inverse = invert(Matrix([rows[i] for i in start]))
+    # column j of -B^-1 = -adj(B) / det(B) is tight on every start row
+    # except start[j]
+    adj, det = adjugate([rows[i] for i in start])
+    sign = -1 if det > 0 else 1
     every = sum(1 << i for i in start)
     rays = [
-        (primitive_row([-c for c in inverse.col(j)]), every & ~(1 << i))
-        for j, i in enumerate(start)
+        (primitive_row([sign * a for a in col]), every & ~(1 << i))
+        for col, i in zip(zip(*adj), start)
     ]
     for k in range(len(rows)):
         if k in start:
@@ -172,6 +175,9 @@ def _extreme_rays(h: HRep) -> list[tuple[tuple[int, ...], int]]:
                 g = gcd(*new)
                 kept.append((tuple(y // g for y in new), common | bit))
         rays = kept
+    for ray, _ in rays:
+        if ray[d] == 0:
+            raise UnboundedSuspected(f"recession ray {ray[:d]}")
     return rays
 
 
@@ -179,19 +185,18 @@ def hull_vertices_by_basis(h: HRep) -> BasisVertexSet:
     """All vertices of {x : Ax <= beta}, with the rows tight at each.
 
     Vertex enumeration by double description of the homogenized cone (see
-    _extreme_rays): each extreme ray (x, t) with t > 0 is the vertex x/t.
-    An extreme ray with t = 0 is a recession direction, so the system is
-    unbounded (or, if infeasible, has nonzero solutions of Ay <= 0) and
-    UnboundedSuspected is raised. Only the numeric rows are read.
+    _extreme_rays): each extreme ray (x, t) is the vertex x/t, whose
+    coordinates are ints where t divides them and Fractions elsewhere.
+    Raises UnboundedSuspected on a recession ray. Only the numeric rows are
+    read.
     """
     d = h.dim
     found = []
     for ray, mask in _extreme_rays(h):
         t = ray[d]
-        if t == 0:
-            raise UnboundedSuspected(f"recession ray {ray[:d]}")
         tight = tuple(i for i in range(len(h.normals)) if mask >> (i + 1) & 1)
-        found.append((tuple(Fraction(y, t) for y in ray[:d]), tight))
+        coords = tuple(y // t if y % t == 0 else Fraction(y, t) for y in ray[:d])
+        found.append((coords, tight))
     found.sort()
     return BasisVertexSet(
         coords=tuple(x for x, _ in found), tight_rows=tuple(r for _, r in found)
@@ -223,25 +228,28 @@ def verify_hull_equivalence(segment: LatticeSegment, h: HRep, v: VRep) -> dict:
 
 
 def facet_irredundancy(h: HRep) -> list[dict]:
-    """Per-row evidence that dropping the row changes the polyhedron.
+    """Per-row evidence that dropping the row changes the polytope.
 
-    Each row is dropped in turn and the vertex enumeration rerun: a
-    recession ray or a different vertex set shows the row is needed. Every
-    row of a facet-minimal system must report changed=True.
+    One double-description run gives every vertex with its tight rows. A
+    row of a full-dimensional polytope is needed iff no other row equals it
+    (rows are primitive) and its tight vertices span a (d-1)-face, a facet
+    (Ziegler, Lectures on Polytopes, ch. 2): the rays (x, t) tight on it
+    have rank d. Raises UnboundedSuspected on a recession ray and
+    NotFullDimensional when the rays have rank below d+1.
     """
-    base = hull_vertices_by_basis(h).coordinate_set()
+    d = h.dim
+    rays = _extreme_rays(h)
+    span = rank_of_rows([ray for ray, _ in rays])
+    if span < d + 1:
+        raise NotFullDimensional(f"the vertices span dimension {span - 1} < {d}")
+    copies = Counter(h.rows())
     out = []
-    for i in range(len(h.normals)):
-        try:
-            vs = hull_vertices_by_basis(h.without_row(i)).coordinate_set()
-        except UnboundedSuspected as exc:
-            out.append({"row": i, "changed": True, "evidence": str(exc)})
-            continue
-        out.append(
-            {
-                "row": i,
-                "changed": vs != base,
-                "evidence": f"{len(vs)} vs {len(base)} vertices",
-            }
-        )
+    for i, row in enumerate(h.rows()):
+        tight = [ray for ray, mask in rays if mask >> (i + 1) & 1]
+        rank = rank_of_rows(tight)
+        evidence = f"{len(tight)} tight vertices span dimension {rank - 1}"
+        if copies[row] > 1:
+            evidence = f"one of {copies[row]} equal rows"
+        changed = rank == d and copies[row] == 1
+        out.append({"row": i, "changed": changed, "evidence": evidence})
     return out

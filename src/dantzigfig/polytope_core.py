@@ -19,7 +19,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .exactmath import Matrix, SingularError, invert, primitive_row, rank_of_rows
+from .exactmath import SingularError, adjugate, primitive_row, rank_of_rows
 
 
 class InfeasibleVertex(ValueError):
@@ -231,19 +231,9 @@ class HRep:
             dots = (Fraction(dot, den) for dot in dots)
         return tuple(b - dot for b, dot in zip(self.rhs, dots))
 
-    def canonical_rows(self) -> tuple[tuple[tuple[int, ...], int | Fraction], ...]:
-        return tuple(sorted(zip(self.normals, self.rhs)))
-
     def same_polytope_rows(self, other: "HRep") -> bool:
         """Equality of the two systems up to row order (rows are canonical)."""
-        return self.canonical_rows() == other.canonical_rows()
-
-    def without_row(self, index: int) -> "HRep":
-        rows = [r for i, r in enumerate(self.rows()) if i != index]
-        ids = None
-        if self.ids is not None:
-            ids = [f for i, f in enumerate(self.ids) if i != index]
-        return HRep(rows, ids)
+        return sorted(self.rows()) == sorted(other.rows())
 
     def __repr__(self) -> str:
         return f"HRep({len(self.normals)} rows, dim {self.dim})"
@@ -446,22 +436,22 @@ def dantzig_hrep(cone_u: TangentCone, cone_v: TangentCone) -> HRep:
 
     Each cone must be simplicial: exactly d generators forming an invertible
     matrix G. The cone at apex p is {x : -G^-1 x <= -G^-1 p}; stacking both
-    gives the 2d facet rows.
+    gives the 2d facet rows. The rows are read from the integer adjugate,
+    G^-1 = adj(G) / det(G), scaled by |det(G)|.
     """
-    rows: list[tuple[list[Fraction], Fraction]] = []
+    rows: list[tuple[list[int], int]] = []
     for cone in (cone_u, cone_v):
         d = len(cone.apex)
         if len(cone.generators) != d:
             raise NonSimplicialCone(f"{len(cone.generators)} generators, need {d}")
-        gmat = Matrix(zip(*cone.generators))  # generators as columns
         try:
-            ginv = invert(gmat)
+            adj, det = adjugate(list(zip(*cone.generators)))  # generators as columns
         except SingularError as exc:
             raise NonSimplicialCone("generator matrix singular") from exc
-        for r in range(d):
-            normal = [-ginv[r, c] for c in range(d)]
-            beta = sum(n * x for n, x in zip(normal, cone.apex))
-            rows.append((normal, beta))
+        sign = -1 if det > 0 else 1
+        for row in adj:
+            normal = [sign * a for a in row]
+            rows.append((normal, sum(map(mul, normal, cone.apex))))
     return HRep(rows)
 
 

@@ -222,8 +222,9 @@ def edge_expansion_exact(graph: PolytopeGraph, max_vertices: int = 24) -> Expans
 
     Among the cuts of least ratio, the witness is the one with the least
     min(|S|, n - |S|), then the lexicographically smallest sorted tuple
-    of str(label). Both are read from the smaller side, and from the side
-    holding vertex 0 when |S| = n/2. Raises TooLarge past max_vertices
+    of str(label), vertex index breaking ties between equal strings. Both
+    are read from the smaller side, and from the side holding vertex 0 when
+    |S| = n/2. Raises TooLarge past max_vertices
     (default 24).
     """
     n = len(graph)
@@ -237,7 +238,7 @@ def edge_expansion_exact(graph: PolytopeGraph, max_vertices: int = 24) -> Expans
 
     def side_key(m: int):
         side = m if 2 * m.bit_count() <= n else full & ~m
-        return tuple(sorted(label_keys[i] for i in _bits(side)))
+        return tuple(sorted((label_keys[i], i) for i in _bits(side)))
 
     # decision order: each next vertex has the most edges into those before
     order, placed = [0], 1
@@ -301,11 +302,9 @@ def edge_expansion_exact(graph: PolytopeGraph, max_vertices: int = 24) -> Expans
 
     search(1, 1, 0, 0)
     best_cut, best_eff, best_key = best
-    order_of = {key: i for i, key in enumerate(label_keys)}
-    witness = tuple(graph.labels[order_of[k]] for k in best_key)
     return ExpansionResult(
         value=Fraction(best_cut, best_eff),
-        witness=witness,
+        witness=tuple(graph.labels[i] for _, i in best_key),
         boundary=best_cut,
     )
 

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten numbered criteria, one pass/fail line each.
+"""Acceptance gate: eleven numbered criteria, one pass/fail line each.
 
 Every criterion prints "[acceptance] C<n> <slug>: PASS|FAIL (…s, cap …s)"
 so the test output doubles as a sign-off checklist. All checks are exact
@@ -34,6 +34,7 @@ from dantzigfig import grlex_family as gl
 from dantzigfig import grevlex_family as gv
 from dantzigfig.oracle import (
     enumerate_segment,
+    facet_irredundancy,
     hull_vertices_by_basis,
     verify_hull_equivalence,
 )
@@ -383,4 +384,26 @@ def test_c10_conic_characterization(capsys):
         ok = True
     finally:
         _line(capsys, 10, "conic-characterization", ok,
+              time.perf_counter() - started, cap)
+
+
+def test_c11_dd_ladder_to_d20(capsys):
+    # C1 and the facets suite past the segment oracle's reach: one double
+    # description per instance gives the vertices and decides every row
+    cap, started, ok = 30.0, time.perf_counter(), False
+    try:
+        for theta in _draws(111, 2, 4, dims=(12, 16, 20), per_d=1):
+            d = len(theta)
+            for fam in FAMILIES.values():
+                inst = fam.make(theta)
+                v, h = fam.vertices(inst), fam.hrep(inst)
+                assert len(v) == (d * d + d + 2) // 2
+                basis = hull_vertices_by_basis(h)
+                assert basis.coordinate_set() == v.coordinate_set()
+                rows = facet_irredundancy(h)
+                assert len(rows) == 2 * d and all(r["changed"] for r in rows)
+        assert time.perf_counter() - started < cap
+        ok = True
+    finally:
+        _line(capsys, 11, "dd-ladder-to-d20", ok,
               time.perf_counter() - started, cap)

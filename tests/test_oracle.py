@@ -4,7 +4,8 @@ Segment sizes below were frozen from runs of this module and are kept as
 regression pins; the dual-route membership assert inside enumerate_segment
 checks every point twice on every run. The double-description vertex
 oracle is refereed by a naive basis scan, which is only fast enough for
-d <= 7.
+d <= 7. Facet irredundancy, decided from one double-description run, is
+refereed by the row-drop rerun: drop each row and compare the vertex sets.
 """
 
 import random
@@ -16,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dantzigfig.exactmath import rank_of_rows
+from dantzigfig import oracle
+from dantzigfig.exactmath import Matrix, rank, rank_of_rows
 from dantzigfig.oracle import (
     DEFAULT_POINT_CAP,
     BudgetExceeded,
+    NotFullDimensional,
     UnboundedSuspected,
     _simplex_points,
     enumerate_segment,
@@ -252,6 +255,10 @@ def referee_vertices(h):
     )
 
 
+def without_row(h, index):
+    return HRep([row for i, row in enumerate(h.rows()) if i != index])
+
+
 def dd_vertices(h):
     try:
         return list(hull_vertices_by_basis(h).coords)
@@ -296,12 +303,27 @@ def test_dd_needs_the_adjacency_test():
     assert len(dd_vertices(h)) == 13
 
 
+def test_dd_family_coordinates_are_ints():
+    for make, hrep in ((make_grlex, grlex_hrep), (make_grevlex, grevlex_hrep)):
+        for d in range(3, 9):
+            out = hull_vertices_by_basis(hrep(make((3,) + (2,) * (d - 1))))
+            assert all(type(x) is int for c in out.coords for x in c)
+
+
+def test_dd_rational_vertex_keeps_fraction():
+    # 2x <= 1 and 2y <= 1 over the positive quadrant: x, y in {0, 1/2}
+    h = HRep([((-1, 0), 0), ((0, -1), 0), ((2, 0), 1), ((0, 2), 1)])
+    coords = hull_vertices_by_basis(h).coords
+    assert coords == ((0, 0), (0, F(1, 2)), (F(1, 2), 0), (F(1, 2), F(1, 2)))
+    assert [[type(x) for x in c] for c in coords[:2]] == [[int, int], [int, F]]
+
+
 @pytest.mark.parametrize("d", range(3, 8))
 def test_dd_matches_referee_family_sweep(d):
     rng = random.Random(d)
     for make, hrep in ((make_grlex, grlex_hrep), (make_grevlex, grevlex_hrep)):
         h = hrep(make(tuple(rng.randint(1, 4) for _ in range(d))))
-        for variant in [h] + [h.without_row(i) for i in range(len(h))]:
+        for variant in [h] + [without_row(h, i) for i in range(len(h))]:
             assert dd_vertices(variant) == referee_vertices(variant)
 
 
@@ -349,6 +371,24 @@ def test_hull_equivalence_detects_wrong_vrep():
 # --------------------------------------------------- irredundancy
 
 
+def rerun_irredundancy(h):
+    """The changed flags of the row-drop rerun: a row is needed iff
+    dropping it makes the system unbounded or changes its vertex set."""
+    base = hull_vertices_by_basis(h).coordinate_set()
+    out = []
+    for i in range(len(h)):
+        try:
+            dropped = hull_vertices_by_basis(without_row(h, i)).coordinate_set()
+            out.append(dropped != base)
+        except UnboundedSuspected:
+            out.append(True)
+    return out
+
+
+def changed_flags(h):
+    return [r["changed"] for r in facet_irredundancy(h)]
+
+
 def test_facet_irredundancy_family_hreps():
     for make, hrep in (
         (make_grlex, grlex_hrep),
@@ -356,6 +396,7 @@ def test_facet_irredundancy_family_hreps():
     ):
         rows = facet_irredundancy(hrep(make((2, 2, 2))))
         assert all(r["changed"] for r in rows)
+        assert [r["row"] for r in rows] == list(range(6))
 
 
 def test_facet_irredundancy_flags_redundant_row():
@@ -370,3 +411,127 @@ def test_facet_irredundancy_flags_redundant_row():
     )
     rows = facet_irredundancy(h)
     assert [r["changed"] for r in rows] == [True, True, True, True, False]
+    assert rows[0]["evidence"] == "2 tight vertices span dimension 1"
+    assert rows[4]["evidence"] == "0 tight vertices span dimension -1"
+
+
+def test_facet_irredundancy_duplicates_and_lower_faces():
+    # unit square, its right edge twice (once scaled), and x + y <= 2,
+    # which touches the square at the vertex (1, 1) only
+    h = HRep(
+        [
+            ((-1, 0), 0),
+            ((0, -1), 0),
+            ((1, 0), 1),
+            ((0, 1), 1),
+            ((2, 0), 2),
+            ((1, 1), 2),
+        ]
+    )
+    rows = facet_irredundancy(h)
+    assert [r["changed"] for r in rows] == [True, True, False, True, False, False]
+    assert rows[2]["evidence"] == rows[4]["evidence"] == "one of 2 equal rows"
+    assert rows[5]["evidence"] == "1 tight vertices span dimension 0"
+    assert changed_flags(h) == rerun_irredundancy(h)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # the segment x = 0, 0 <= y <= 1 in the plane
+        [((-1, 0), 0), ((1, 0), 0), ((0, -1), 0), ((0, 1), 1)],
+        # a triangle in the plane z = 0 of 3-space
+        [
+            ((-1, 0, 0), 0),
+            ((0, -1, 0), 0),
+            ((0, 0, -1), 0),
+            ((0, 0, 1), 0),
+            ((1, 1, 0), 1),
+        ],
+        # a single point
+        [((-1, 0), 0), ((0, -1), 0), ((1, 1), 0)],
+        # empty: x >= 0, y >= 0, x + y <= -1
+        [((-1, 0), 0), ((0, -1), 0), ((1, 1), -1)],
+    ],
+)
+def test_facet_irredundancy_rejects_lower_dimensional(rows):
+    with pytest.raises(NotFullDimensional):
+        facet_irredundancy(HRep(rows))
+
+
+def test_facet_irredundancy_unbounded():
+    with pytest.raises(UnboundedSuspected):
+        facet_irredundancy(HRep([((-1, 0), 0), ((0, -1), 0), ((1, -1), 1)]))
+
+
+def test_facet_irredundancy_runs_dd_once(monkeypatch):
+    runs = []
+    extreme_rays = oracle._extreme_rays
+
+    def counted(h):
+        runs.append(h)
+        return extreme_rays(h)
+
+    monkeypatch.setattr(oracle, "_extreme_rays", counted)
+    for make, hrep in ((make_grlex, grlex_hrep), (make_grevlex, grevlex_hrep)):
+        for theta in ((2, 2, 2), (3, 1, 2, 2, 3)):
+            runs.clear()
+            facet_irredundancy(hrep(make(theta)))
+            assert len(runs) == 1
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_facet_irredundancy_matches_rerun_family_sweep(d):
+    rng = random.Random(100 + d)
+    for make, hrep in ((make_grlex, grlex_hrep), (make_grevlex, grevlex_hrep)):
+        h = hrep(make(tuple(rng.randint(1, 4) for _ in range(d))))
+        bounded = 0
+        for variant in [h] + [without_row(h, i) for i in range(len(h))]:
+            try:
+                expected = rerun_irredundancy(variant)
+            except UnboundedSuspected:
+                continue
+            bounded += 1
+            assert changed_flags(variant) == expected
+        assert bounded > 1
+
+
+def _full_dimension(vertices, d):
+    """Whether the vertices affinely span dimension d."""
+    return bool(vertices) and rank(Matrix([c + (1,) for c in vertices])) == d + 1
+
+
+@st.composite
+def bounded_systems(draw):
+    """x >= 0 and sum(x) <= b, then random rows (some with a rational rhs,
+    which can empty the set or flatten it), rows touching the result at a
+    vertex-maximizing face, and scaled copies of some rows, shuffled."""
+    d = draw(st.integers(2, 4))
+    rows = [(tuple(-int(i == c) for i in range(d)), F(0)) for c in range(d)]
+    rows.append(((1,) * d, F(draw(st.integers(1, 5)))))
+    normal = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(tuple)
+    normal = normal.filter(any)
+    rhs = st.builds(F, st.integers(-2, 12), st.sampled_from([1, 1, 2, 3]))
+    rows += draw(st.lists(st.tuples(normal, rhs), max_size=4))
+    vertices = referee_vertices(HRep(rows))
+    if vertices:
+        for a in draw(st.lists(normal, max_size=3)):
+            top = max(sum(x * y for x, y in zip(a, v)) for v in vertices)
+            rows.append((a, top))
+    copies = st.tuples(st.integers(0, len(rows) - 1), st.integers(1, 3))
+    for i, k in draw(st.lists(copies, max_size=2)):
+        a, beta = rows[i]
+        rows.append((tuple(k * x for x in a), k * beta))
+    return d, draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_systems())
+def test_facet_irredundancy_matches_rerun_random(system):
+    d, rows = system
+    h = HRep(rows)
+    if not _full_dimension(referee_vertices(h), d):
+        with pytest.raises(NotFullDimensional):
+            facet_irredundancy(h)
+        return
+    assert changed_flags(h) == rerun_irredundancy(h)

@@ -141,6 +141,15 @@ def test_expansion_disconnected_is_zero():
     assert result.value == 0 and result.boundary == 0
 
 
+def test_expansion_witness_with_labels_sharing_a_str():
+    # 1 and "1" print alike; the witness must still be the zero cut {1, 2}
+    g = PolytopeGraph.from_edges([1, "1", 2, 3], [(1, 2), ("1", 3)])
+    result = edge_expansion_exact(g)
+    assert result.value == 0 and result.boundary == 0
+    assert result.witness == (1, 2)
+    assert cut_edges(g, result.witness) == []
+
+
 def test_expansion_too_large():
     with pytest.raises(TooLarge):
         edge_expansion_exact(cycle_graph(25))
