@@ -10,14 +10,15 @@ closed form, so they catch errors in the clever code.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import chain
 from math import comb, gcd
 
 from .exactmath import adjugate, bareiss_echelon, primitive_row, rank_of_rows
-from .orders import Ordering, OrderKind, compare_lex, is_initial_segment_member
+from .orders import OrderKind, is_initial_segment_member
 from .polytope_core import CheckFailed, HRep, VRep, check_theta_entries
 
 
@@ -42,28 +43,32 @@ class LatticeSegment:
 
     kind: OrderKind
     theta: tuple[int, ...]
-    points: tuple[tuple[int, ...], ...]
+    points: tuple[tuple[int, ...], ...]  # colex order
 
     def __len__(self) -> int:
         return len(self.points)
 
-    @cached_property
-    def _members(self) -> frozenset:
-        return frozenset(self.points)
-
     def __contains__(self, x) -> bool:
-        return tuple(x) in self._members
+        # bisect on the colex order: the reversed coordinates ascend
+        i = bisect_left(self.points, tuple(x)[::-1], key=lambda p: p[::-1])
+        return self.points[i : i + 1] == (tuple(x),)
+
+
+def _lines(k: int, budget: int):
+    # (x_1..x_k, budget - their sum) for sums <= budget, x_k slowest
+    if k == 0:
+        yield (), budget
+        return
+    for last in range(budget + 1):
+        for tail, rest in _lines(k - 1, budget - last):
+            yield tail + (last,), rest
 
 
 def _simplex_points(d: int, budget: int):
-    # colex order: first coordinate varies fastest
-    if d == 1:
-        for x in range(budget + 1):
-            yield (x,)
-        return
-    for last in range(budget + 1):
-        for rest in _simplex_points(d - 1, budget - last):
-            yield rest + (last,)
+    # colex order: the first coordinate varies fastest; one list per line
+    return chain.from_iterable(
+        [(x0,) + tail for x0 in range(rest + 1)] for tail, rest in _lines(d - 1, budget)
+    )
 
 
 def enumerate_segment(
@@ -87,18 +92,12 @@ def enumerate_segment(
         raise BudgetExceeded(
             f"simplex holds {simplex_size} points, cap is {point_cap}"
         )
+    grlex, rtheta = kind is OrderKind.GRLEX, theta[::-1]
     keep = []
     for x in _simplex_points(d, b):
         direct = is_initial_segment_member(kind, x, theta)
-        s = sum(x)
-        if s < b:
-            split = True
-        else:  # s == b by construction of the simplex budget
-            verdict = compare_lex(x, theta)
-            if kind is OrderKind.GRLEX:
-                split = verdict is not Ordering.GREATER
-            else:
-                split = verdict is not Ordering.LESS
+        # at s == b the lex tiebreak: grlex keeps x <= theta, grevlex x >= theta
+        split = sum(x) < b or (x[::-1] <= rtheta if grlex else x[::-1] >= rtheta)
         if direct != split:
             raise CheckFailed(f"membership routes disagree at {x}")
         if direct:
@@ -213,11 +212,9 @@ def verify_hull_equivalence(segment: LatticeSegment, h: HRep, v: VRep) -> dict:
     """
     basis = hull_vertices_by_basis(h)
     report = {
-        "segment_in_hrep": all(h.contains(x) for x in segment.points),
+        "segment_in_hrep": h.contains_all(segment.points),
         "basis_equals_closed_form": basis.coordinate_set() == v.coordinate_set(),
-        "vertices_in_segment": all(
-            tuple(int(c) for c in coords) in segment for _, coords in v
-        ),
+        "vertices_in_segment": all(coords in segment for _, coords in v),
         "vertex_certificates": all(
             rank_of_rows([h.normals[i] for i in rows]) == h.dim
             for rows in basis.tight_rows

@@ -13,9 +13,11 @@ optional `inc` (a family passes its cached one) and compute it when omitted.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import islice
+from math import floor, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -185,6 +187,7 @@ class HRep:
     """
 
     __slots__ = ("normals", "rhs", "ids", "dim")
+    CONTAINS_CHUNK = 1024  # points per packed test in contains_all
 
     def __init__(
         self,
@@ -222,6 +225,50 @@ class HRep:
         return all(
             sum(map(mul, n, p)) <= b * den for n, b in zip(self.normals, self.rhs)
         )
+
+    def contains_all(self, points: Iterable[Sequence]) -> bool:
+        """all(map(self.contains, points)), decided CONTAINS_CHUNK points at a time.
+
+        Coordinate j of a chunk is packed into C_j = sum_k x_kj 2^(wk). For a row
+        (a, beta), T = (floor(beta) + 2^(w-1)) sum_k 2^(wk) - sum_j a_j C_j holds
+        f_k = floor(beta) - a·x_k + 2^(w-1) in field k, as w makes 2^(w-1) exceed
+        |floor(beta)| + sum_j |a_j| max_k x_kj: f_k is in (0, 2^w), and no borrow
+        or carry crosses a field. As a·x_k is an integer, x_k meets the row iff the
+        top bit of field k is set; one & over the rows tests the chunk. A chunk with
+        a point that is not a length-dim vector of ints in [0, 2^64) uses contains.
+        """
+        from array import array  # a shared library, kept off `import dantzigfig`
+
+        it = iter(points)
+        while chunk := list(islice(it, self.CONTAINS_CHUNK)):
+            try:
+                if set(map(len, chunk)) != {self.dim}:
+                    raise TypeError("ragged points")
+                cols = [array("Q", col) for col in zip(*chunk)]
+            except (TypeError, OverflowError):
+                if all(map(self.contains, chunk)):
+                    continue
+                return False
+            floors, tops = [floor(b) for b in self.rhs], [max(col) for col in cols]
+            bound = max(
+                abs(f) + sum(map(mul, map(abs, a), tops))
+                for a, f in zip(self.normals, floors)
+            )
+            n, w = len(chunk), 64 * (bound.bit_length() // 64 + 1)  # 2^(w-1) > bound
+            packed = []
+            for col in cols:
+                wide = array("Q", bytes(w // 8 * n))
+                memoryview(wide)[:: w // 64] = col
+                if sys.byteorder == "big":
+                    wide.byteswap()
+                packed.append(int.from_bytes(wide.tobytes(), "little"))
+            half, ones = 1 << (w - 1), ((1 << w * n) - 1) // ((1 << w) - 1)
+            acc = top_bits = half * ones
+            for normal, f in zip(self.normals, floors):
+                acc &= (f + half) * ones - sum(a * c for a, c in zip(normal, packed) if a)
+            if acc != top_bits:
+                return False
+        return True
 
     def slacks(self, point: Sequence) -> tuple[int | Fraction, ...]:
         """beta - a·x per row: ints for an integral point and rhs."""

@@ -1,8 +1,13 @@
 """Independent enumeration oracles: lattice segments and the vertex oracle.
 
 Segment sizes below were frozen from runs of this module and are kept as
-regression pins; the dual-route membership assert inside enumerate_segment
-checks every point twice on every run. The double-description vertex
+regression pins. enumerate_segment decides every candidate twice, by the
+order's sort key and by the degree/lex split, and raises CheckFailed when
+the two disagree; a test flips one verdict of the first route to keep that
+check live, and the recursive generator the line-at-a-time simplex walk
+replaced is kept as its referee. Segment membership is a bisection on the
+colex order, checked against the point set. The batch containment of check
+(a) is refereed in test_polytope_core_random.py. The double-description vertex
 oracle is refereed by a naive basis scan, which is only fast enough for
 d <= 7. Facet irredundancy, decided from one double-description run, is
 refereed by the row-drop rerun: drop each row and compare the vertex sets.
@@ -11,7 +16,7 @@ refereed by the row-drop rerun: drop each row and compare the vertex sets.
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +36,7 @@ from dantzigfig.oracle import (
     verify_hull_equivalence,
 )
 from dantzigfig.orders import OrderKind
-from dantzigfig.polytope_core import HRep, InvalidTheta
+from dantzigfig.polytope_core import CheckFailed, HRep, InvalidTheta, VRep
 from dantzigfig.grlex_family import grlex_hrep, grlex_vertices, make_grlex
 from dantzigfig.grevlex_family import (
     grevlex_hrep,
@@ -69,6 +74,78 @@ def test_simplex_points_cover_and_order():
     # colex: last coordinate is the slowest index
     lasts = [p[-1] for p in pts]
     assert lasts == sorted(lasts)
+
+
+def recursive_simplex_points(d, budget):
+    """The recursive generator that _simplex_points replaced: colex order,
+    one generator frame per coordinate for every point."""
+    if d == 1:
+        for x in range(budget + 1):
+            yield (x,)
+        return
+    for last in range(budget + 1):
+        for rest in recursive_simplex_points(d - 1, budget - last):
+            yield rest + (last,)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_simplex_points_match_recursive_generator(d):
+    for budget in range(9):
+        assert list(_simplex_points(d, budget)) == list(
+            recursive_simplex_points(d, budget)
+        )
+
+
+@pytest.mark.parametrize("kind", [OrderKind.GRLEX, OrderKind.GREVLEX])
+@pytest.mark.parametrize("theta", [(2, 2, 2), (3, 1, 2, 1), (1, 4)])
+def test_route_one_runs_on_every_candidate(monkeypatch, kind, theta):
+    seen = []
+    member = oracle.is_initial_segment_member
+
+    def counted(kind, x, theta):
+        seen.append(x)
+        return member(kind, x, theta)
+
+    monkeypatch.setattr(oracle, "is_initial_segment_member", counted)
+    enumerate_segment(kind, theta)
+    b, d = sum(theta), len(theta)
+    assert len(seen) == len(set(seen)) == comb(b + d, d)
+
+
+@pytest.mark.parametrize("kind", [OrderKind.GRLEX, OrderKind.GREVLEX])
+@pytest.mark.parametrize("flip", [(0, 0, 0), (1, 0, 2), (2, 2, 2), (0, 0, 6), (6, 0, 0)])
+def test_route_disagreement_raises(monkeypatch, kind, flip):
+    member = oracle.is_initial_segment_member
+
+    def flipped(kind, x, theta):
+        return member(kind, x, theta) != (x == flip)
+
+    monkeypatch.setattr(oracle, "is_initial_segment_member", flipped)
+    with pytest.raises(CheckFailed, match=rf"disagree at \({', '.join(map(str, flip))}\)$"):
+        enumerate_segment(kind, (2, 2, 2))
+
+
+@pytest.mark.parametrize("kind", [OrderKind.GRLEX, OrderKind.GREVLEX])
+@pytest.mark.parametrize("theta", [(2, 2, 2), (3, 1, 2, 1), (1, 4), (3,)])
+def test_segment_membership_matches_point_set(kind, theta):
+    seg = enumerate_segment(kind, theta)
+    members = set(seg.points)
+    d, b = len(theta), sum(theta)
+    for x in _simplex_points(d, b + 1):
+        assert (x in seg) == (x in members)
+    for x in [(-1,) + theta[1:], theta + (0,), theta[:-1], (), tuple(map(F, theta))]:
+        assert (x in seg) == (x in members)
+
+
+def test_vertices_in_segment_rejects_negative_and_wrong_length():
+    inst = make_grlex((2, 2, 2))
+    seg = enumerate_segment(OrderKind.GRLEX, (2, 2, 2))
+    h = grlex_hrep(inst)
+    for bad in [(-1, 0, 0), (0, 0), (0, 0, 0, 0), (0, 0, 7)]:
+        v = VRep(list(grlex_vertices(inst)) + [("bad", bad)])
+        report = verify_hull_equivalence(seg, h, v)
+        assert report["vertices_in_segment"] is False
+        assert report["pass"] is False
 
 
 @pytest.mark.parametrize("theta,sizes", sorted(SEGMENT_SIZES.items()))
@@ -358,8 +435,6 @@ def test_hull_equivalence_detects_mismatch():
 
 
 def test_hull_equivalence_detects_wrong_vrep():
-    from dantzigfig.polytope_core import VRep
-
     h = unit_square_h()
     seg_like = enumerate_segment(OrderKind.GRLEX, (1, 1))
     bad_v = VRep([("a", (0, 0)), ("b", (1, 0)), ("c", (0, 1)), ("d", (2, 2))])

@@ -1,5 +1,12 @@
-"""Term orders: lex, graded lex, graded reverse lex, segment membership."""
+"""Term orders: lex, graded lex, graded reverse lex, segment membership.
 
+The comparators compare sort keys. The loop-based comparators they
+replaced are kept below as referees and checked against them on every
+verdict, both graded kinds, and each error (a length mismatch, a non-graded
+kind, a negative coordinate), down to the empty vector.
+"""
+
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
@@ -12,6 +19,7 @@ from dantzigfig.orders import (
     Ordering,
     compare_graded,
     compare_lex,
+    graded_key,
     is_initial_segment_member,
 )
 
@@ -135,3 +143,112 @@ def test_membership_consistent_with_comparator(x):
         member = is_initial_segment_member(kind, x, theta)
         verdict = compare_graded(kind, x, theta)
         assert member == (verdict in (L, E))
+
+
+# ------------------------------------------------ loop-based referees
+
+
+def ref_compare_lex(x, y):
+    if len(x) != len(y):
+        raise LengthMismatch(f"lengths {len(x)} vs {len(y)}")
+    for xi, yi in zip(reversed(x), reversed(y)):
+        if xi != yi:
+            return L if xi < yi else G
+    return E
+
+
+def ref_compare_graded(kind, x, y):
+    if len(x) != len(y):
+        raise LengthMismatch(f"lengths {len(x)} vs {len(y)}")
+    if kind not in (OrderKind.GRLEX, OrderKind.GREVLEX):
+        raise ValueError(f"not a graded order: {kind}")
+    dx, dy = sum(x), sum(y)
+    if dx != dy:
+        return L if dx < dy else G
+    tie = ref_compare_lex(x, y)
+    if kind is OrderKind.GRLEX or tie is E:
+        return tie
+    return L if tie is G else G
+
+
+def ref_is_member(kind, x, theta):
+    if any(v < 0 for v in x):
+        raise ValueError("x must be nonnegative")
+    return ref_compare_graded(kind, x, theta) in (L, E)
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the class of the exception it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+kinds = st.sampled_from(list(OrderKind))
+short = st.lists(st.integers(0, 3), max_size=6).map(tuple)
+signed = st.lists(st.integers(-2, 3), max_size=6).map(tuple)
+
+
+def _same_length(entries):
+    return st.integers(0, 6).flatmap(
+        lambda d: st.tuples(st.tuples(*[entries] * d), st.tuples(*[entries] * d))
+    )
+
+
+# mostly equal lengths, some mismatched
+pairs = st.one_of(_same_length(st.integers(0, 3)), st.tuples(short, short))
+
+
+@given(kinds, pairs)
+@settings(max_examples=400, deadline=None)
+def test_comparators_match_loop_referee(kind, pair):
+    x, y = pair
+    assert outcome(compare_lex, x, y) == outcome(ref_compare_lex, x, y)
+    assert outcome(compare_graded, kind, x, y) == outcome(
+        ref_compare_graded, kind, x, y
+    )
+
+
+@given(kinds, short)
+@settings(max_examples=200, deadline=None)
+def test_comparators_match_loop_referee_on_ties(kind, x):
+    # equal degree, permuted coordinates: the lex tie-break decides
+    y = x[::-1]
+    assert compare_lex(x, y) is ref_compare_lex(x, y)
+    assert outcome(compare_graded, kind, x, y) == outcome(
+        ref_compare_graded, kind, x, y
+    )
+
+
+@given(kinds, st.one_of(_same_length(st.integers(-1, 3)), st.tuples(signed, short)))
+@settings(max_examples=400, deadline=None)
+def test_membership_matches_loop_referee(kind, pair):
+    x, theta = pair
+    assert outcome(is_initial_segment_member, kind, x, theta) == outcome(
+        ref_is_member, kind, x, theta
+    )
+    assert outcome(is_initial_segment_member, kind, list(x), list(theta)) == outcome(
+        ref_is_member, kind, x, theta
+    )
+
+
+def test_referee_errors_and_empty_vector():
+    # d = 0: no coordinate is negative, and () equals ()
+    for kind in (OrderKind.GRLEX, OrderKind.GREVLEX):
+        assert is_initial_segment_member(kind, (), ()) is True
+        assert compare_graded(kind, (), ()) is E
+    assert compare_lex((), ()) is E
+    assert outcome(is_initial_segment_member, OrderKind.LEX, (1, 0), (0, 1)) is ValueError
+    assert outcome(compare_graded, OrderKind.LEX, (), ()) is ValueError
+    assert outcome(is_initial_segment_member, OrderKind.GRLEX, (0, -1), (1,)) is ValueError
+    assert outcome(is_initial_segment_member, OrderKind.GRLEX, (0, 1), (1,)) is LengthMismatch
+    assert outcome(compare_lex, (), (0,)) is LengthMismatch
+
+
+@pytest.mark.parametrize("kind", [OrderKind.GRLEX, OrderKind.GREVLEX])
+def test_graded_key_sorts_like_the_referee(kind):
+    pts = _all_tuples(3, 3)
+    by_key = sorted(pts, key=lambda x: graded_key(kind, x))
+    by_ref = sorted(pts, key=cmp_to_key(lambda x, y: ref_compare_graded(kind, x, y).value))
+    assert by_key == by_ref

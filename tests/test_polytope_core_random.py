@@ -8,9 +8,11 @@ only Fraction arithmetic, `exactmath.rank(Matrix(...))` and every vertex
 pair, which is how the integer routines in `polytope_core` are checked
 on inputs that come from neither family. `dantzig_hrep` is checked on the
 tangent cones of two simplicial vertices against rows solved by Cramer's
-rule with Leibniz determinants.
+rule with Leibniz determinants. The packed batch test
+`HRep.contains_all` is checked against `contains` point by point.
 """
 
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import lcm, prod
@@ -233,3 +235,101 @@ def test_dantzig_hrep_matches_referee(hv, data):
         if ref_cone_rows(cone) is None:
             with pytest.raises(NonSimplicialCone):
                 dantzig_hrep(cu, cone)
+
+
+# ------------------------------------------------------- packed containment
+
+
+CONTAINS_CHUNK = HRep.CONTAINS_CHUNK
+
+
+def _dot(a, p):
+    return sum(x * y for x, y in zip(a, p))
+
+
+@st.composite
+def point_batches(draw):
+    """Random points and rows whose rhs puts the points that maximize the
+    row exactly on it, one unit outside it, or a fraction either side;
+    coefficients up to 10^25 and coordinates up to 2^64 - 1 (2^70 falls
+    back), counts around CONTAINS_CHUNK, and at times one point with a
+    negative or a Fraction coordinate."""
+    d = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([0, 1, 5, CONTAINS_CHUNK - 1, CONTAINS_CHUNK, CONTAINS_CHUNK + 1]))
+    top = draw(st.sampled_from([1, 12, 10**6, 2**64 - 1, 2**70]))
+    points = [tuple(rng.randint(0, top) for _ in range(d)) for _ in range(n)]
+    scale = draw(st.sampled_from([3, 10**6, 10**25]))
+    offset = st.sampled_from([0, 0, -1, 1, Fraction(1, 2), Fraction(-1, 3), -(10**30)])
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        a = [rng.randint(-scale, scale) for _ in range(d - 1)] + [rng.choice([-1, 1]) * scale]
+        rng.shuffle(a)
+        rows.append((a, max((_dot(a, p) for p in points), default=0) + draw(offset)))
+    odd = draw(st.sampled_from([None, None, -1, Fraction(1, 2)]))
+    if odd is not None and points:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))
+        points[i] = points[i][:j] + (odd,) + points[i][j + 1 :]
+    return HRep(rows), points
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_batches())
+def test_contains_all_matches_contains(case):
+    h, points = case
+    expected = all(h.contains(x) for x in points)
+    assert h.contains_all(points) == expected
+    assert h.contains_all(iter(points)) == expected
+
+
+@pytest.mark.parametrize("n", [CONTAINS_CHUNK - 1, CONTAINS_CHUNK, CONTAINS_CHUNK + 1])
+@pytest.mark.parametrize("where", [0, "middle", "last"])
+def test_contains_all_finds_one_point_outside(n, where):
+    # 0 <= x_j <= 3 and x_0 + 2 x_1 - x_2 <= 6; one point one unit over
+    rows = [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 2, -1), 6)]
+    h = HRep(rows + [(tuple(int(i == j) for i in range(3)), 3) for j in range(3)])
+    rng = random.Random(n)
+    points = []
+    while len(points) < n:
+        p = tuple(rng.randint(0, 3) for _ in range(3))
+        if h.contains(p):
+            points.append(p)
+    points[-1] = (2, 2, 0)  # on the row x_0 + 2 x_1 - x_2 <= 6
+    assert h.contains_all(points)
+    k = {0: 0, "middle": n // 2, "last": n - 1}[where]
+    points[k] = (3, 2, 0)  # one unit outside
+    assert not h.contains_all(points)
+
+
+def test_contains_all_packs_int_points_and_falls_back_otherwise(monkeypatch):
+    h = HRep([((-1, 0), 0), ((0, -1), 0), ((1, 1), Fraction(7, 2))])
+    calls = []
+    contains = HRep.contains
+
+    def counted(self, point):
+        calls.append(point)
+        return contains(self, point)
+
+    monkeypatch.setattr(HRep, "contains", counted)
+    inside = [(x, y) for x in range(4) for y in range(4) if x + y <= 3]
+    assert h.contains_all(inside * 200) and calls == []
+    assert h.contains_all([]) and calls == []
+    assert not h.contains_all(inside + [(-1, 0)]) and calls
+    calls.clear()
+    assert h.contains_all(inside + [(Fraction(1, 2), 3)]) and len(calls) == len(inside) + 1
+    calls.clear()
+    assert not h.contains_all([(1, 3)] + inside + [(Fraction(1, 2), 3)])
+    # a short point reads as padded with zeros, as in contains
+    calls.clear()
+    assert h.contains_all(inside + [(3,)]) and len(calls) == len(inside) + 1
+    assert not h.contains_all([(3, 1)] + inside + [(3,)])
+
+
+def test_contains_all_wide_fields():
+    # |beta| + sum |a_j| max x_j needs more than 64 bits per point
+    big, top = 10**25, 2**64 - 1
+    h = HRep([((big, -big), 0), ((-1, 0), 0), ((0, -1), 0), ((1, 0), top)])
+    diagonal = [(x, x) for x in (0, 1, 2**40, top)]
+    assert h.contains_all(diagonal)
+    assert not h.contains_all(diagonal + [(top, top - 1)])
+    assert h.contains_all(diagonal + [(top - 1, top)])
