@@ -5,7 +5,7 @@ FAMILIES maps each family name to its `family.Family`, the one object the
 CLI, the scripts and the acceptance tests dispatch through.
 """
 
-from .exactmath import Matrix, Rational, SingularError, adjugate, invert, rank
+from .exactmath import SingularError, adjugate, invert
 from .family import Family
 from .grevlex_family import (
     GREVLEX,

@@ -1,9 +1,11 @@
-"""Exact integer and rational matrices and fraction-free elimination.
+"""Exact integer linear algebra by fraction-free elimination.
 
-Arithmetic is exact integer arithmetic, with `fractions.Fraction` only where
-a value is not integral (the entries of a `Matrix` and of an inverse); there
-is no floating point in this module. Elimination is Bareiss-style on integer
-rows (a `Matrix` is scaled to integers first), so division is always exact.
+Matrices are lists of integer rows. One Bareiss elimination gives the rank,
+the pivot columns and, by an integer back substitution, the adjugate and
+determinant, so an inverse is kept as integer rows over one denominator
+(adj·m = det·I) and division is always exact. `fractions.Fraction` appears
+only where a value is not integral: the entries `invert` returns and the
+input of `primitive_row`. There is no floating point in this module.
 """
 
 from __future__ import annotations
@@ -11,73 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
-
-Rational = Fraction
+from typing import Sequence
 
 
 class SingularError(ValueError):
     """Raised when a matrix expected to be invertible is rank-deficient."""
-
-
-class Matrix:
-    """Dense exact-rational matrix (immutable after construction)."""
-
-    __slots__ = ("rows", "cols", "_data")
-
-    def __init__(self, entries: Iterable[Iterable]):
-        data = [[Fraction(e) for e in row] for row in entries]
-        if any(len(row) != len(data[0]) for row in data):
-            raise ValueError("ragged rows")
-        self._data = data
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, rc: tuple[int, int]) -> Fraction:
-        r, c = rc
-        return self._data[r][c]
-
-    def tolists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._data]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self._data)) if self.rows else Matrix([])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
-        )
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = list(zip(*other._data))
-        return Matrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self._data]
-        )
-
-    def mulvec(self, vec: Sequence) -> tuple[Fraction, ...]:
-        v = [Fraction(x) for x in vec]
-        if self.cols != len(v):
-            raise ValueError("shape mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self._data)
-
-    def __repr__(self):
-        return f"Matrix({self.tolists()!r})"
-
-
-def _integer_scaled(data: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    # Row scaling by the lcm of denominators preserves rank and the solution
-    # set of each row's equation, and lets elimination run over plain ints.
-    scales = [lcm(*(f.denominator for f in row)) for row in data]
-    return [[int(f * s) for f in row] for row, s in zip(data, scales)], scales
 
 
 def bareiss_echelon(mat: Sequence[Sequence[int]]) -> tuple[list, list[int], int]:
@@ -113,11 +53,6 @@ def bareiss_echelon(mat: Sequence[Sequence[int]]) -> tuple[list, list[int], int]
         pivots.append(c)
         r += 1
     return m, pivots, sign
-
-
-def rank(m: Matrix) -> int:
-    """Exact rank over the rationals."""
-    return rank_of_rows(_integer_scaled(m.tolists())[0])
 
 
 def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
@@ -158,13 +93,11 @@ def adjugate(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     return [[sign * y for y in row] for row in zip(*cols)], sign * det
 
 
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse adj(D·m)·D / det(D·m), where the diagonal D scales the
-    rows of m to integers. Raises SingularError unless m is square of full
-    rank."""
-    ints, scales = _integer_scaled(m.tolists())
-    adj, det = adjugate(ints)
-    return Matrix([[Fraction(a * s, det) for a, s in zip(r, scales)] for r in adj])
+def invert(mat: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Exact inverse adj/det of a square integer matrix, as Fraction rows.
+    Raises SingularError unless mat is square of full rank."""
+    adj, det = adjugate(mat)
+    return [[Fraction(a, det) for a in row] for row in adj]
 
 
 def primitive_row(entries: Sequence[Fraction]) -> tuple[int, ...]:

@@ -1,8 +1,9 @@
 """The construction recipe both polytope families share.
 
 A family module supplies closed forms: vertex formulas, the facet matrix M
-and a recursion for its inverse N, facet ids, the tight sets psi, the edge
-families, a Hamiltonian-cycle recipe and a coloring scheme. The builders
+and a recursion for its inverse N (integer rows over one denominator),
+facet ids, the tight sets psi, the edge families, a Hamiltonian-cycle
+recipe and a coloring scheme. The builders
 here turn them into checked objects: each closed form is compared with the
 generic numeric route, and a mismatch raises CheckFailed. `Family` is what
 the CLI, the scripts and the tests know of a family.
@@ -13,10 +14,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import mul
 from typing import Optional
 
 from . import polytope_graph as pg
-from .exactmath import Matrix
 from .orders import OrderKind
 from .polytope_core import (
     CheckFailed,
@@ -62,32 +63,33 @@ class ThetaInstance:
         return self.btilde[k - 1] if k >= 1 else 0
 
 
-def check_inverse(n: Matrix, m: Matrix) -> Matrix:
-    """Return the closed-form inverse n after checking all of n·m = I."""
-    if n * m != Matrix.identity(m.rows):
+IntRows = tuple[tuple[int, ...], ...]
+
+
+def check_inverse(n: IntRows, den: int, m: IntRows) -> tuple[IntRows, int]:
+    """Return the closed-form inverse (n, den), M^-1 = n/den, after checking
+    in integers that den > 0 and all of n·m = den·I."""
+    d = len(m)
+    cols = list(zip(*m))
+    product = [[sum(map(mul, row, col)) for col in cols] for row in n]
+    scaled_identity = [[den if i == j else 0 for j in range(d)] for i in range(d)]
+    if den <= 0 or any(len(row) != d for row in n) or product != scaled_identity:
         raise CheckFailed("closed-form inverse mismatch")
-    return n
+    return n, den
 
 
-def hrep_from_inverse(
-    inst: ThetaInstance, n: Matrix, missed: list[VertexLabel]
-) -> HRep:
+def hrep_from_inverse(inst: ThetaInstance, n: IntRows, missed: list[VertexLabel]) -> HRep:
     """The 2d facet rows: x_i >= 0 and the d rows of -N x <= -N theta.
 
-    The facets are coord(1..d), then one per label in missed (the neighbor
-    of theta that nontrivial row r misses, for r < d), then grading: the
-    last row must come out as the grading inequality sum(x) <= b.
+    n holds the rows of den·N for some den > 0; HRep scales each row to
+    primitive integers, so the factor den drops out. The facets are
+    coord(1..d), then one per label in missed (the neighbor of theta that
+    nontrivial row r misses, for r < d), then grading: the last row must
+    come out as the grading inequality sum(x) <= b.
     """
     d = inst.d
-    rows: list[tuple[list, object]] = []
-    for i in range(d):
-        normal = [0] * d
-        normal[i] = -1
-        rows.append((normal, 0))
-    for r in range(d):
-        normal = [-n[r, c] for c in range(d)]
-        beta = sum(a * t for a, t in zip(normal, inst.theta))
-        rows.append((normal, beta))
+    rows = [([-int(i == c) for c in range(d)], 0) for i in range(d)]
+    rows += [([-a for a in row], -sum(map(mul, row, inst.theta))) for row in n]
     ids = [FacetId.coord(i) for i in range(1, d + 1)]
     ids += [FacetId.nontrivial(label) for label in missed] + [FacetId.grading()]
     h = HRep(rows, ids)
@@ -124,13 +126,10 @@ def checked_edges(
 
 
 def checked_cycle(graph: pg.PolytopeGraph, recipe: list) -> tuple:
-    """The recipe's cycle if it is Hamiltonian, else one found by search."""
-    if pg.verify_hamiltonian(graph, recipe):
-        return tuple(recipe)
-    found = pg.find_hamiltonian_cycle(graph)
-    if found is None:
-        raise CheckFailed("polytope graph unexpectedly non-Hamiltonian")
-    return tuple(found)
+    """The recipe's cycle after checking that it is Hamiltonian."""
+    if not pg.verify_hamiltonian(graph, recipe):
+        raise CheckFailed("Hamiltonian-cycle recipe is not a Hamiltonian cycle")
+    return tuple(recipe)
 
 
 def checked_coloring(graph: pg.PolytopeGraph, coloring: dict, colors: int) -> dict:

@@ -11,14 +11,14 @@ count is (d^2+d+2)/2 for every theta >= 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import prod
 
 from . import polytope_graph as pg
-from .exactmath import Matrix
 from .family import (
     Family,
+    IntRows,
     ThetaInstance,
     check_inverse,
     checked_coloring,
@@ -95,13 +95,13 @@ def grevlex_vertices(inst: GrevlexInstance) -> VRep:
 
 
 @lru_cache(maxsize=None)
-def grevlex_facet_matrix(inst: GrevlexInstance) -> Matrix:
+def grevlex_facet_matrix(inst: GrevlexInstance) -> IntRows:
     """Mbar = [ubar(3)-theta, vbar(1,3)-theta, ..., vbar(1,d+1)-theta]."""
     d, th = inst.d, inst.theta
     cols = [_ubar_coords(inst, 3)]
     cols += [_vbar_coords(inst, 1, k) for k in range(3, d + 2)]
     cols = [tuple(c - t for c, t in zip(col, th)) for col in cols]
-    return Matrix(zip(*cols))
+    return tuple(zip(*cols))
 
 
 def _q(inst: GrevlexInstance, i: int, j: int) -> int:
@@ -115,36 +115,30 @@ def _q(inst: GrevlexInstance, i: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def grevlex_facet_matrix_inverse(inst: GrevlexInstance) -> Matrix:
-    """Nbar = Mbar^-1 by closed-form recursion; Nbar·Mbar = I is checked."""
+def grevlex_facet_matrix_inverse(inst: GrevlexInstance) -> tuple[IntRows, int]:
+    """Nbar = Mbar^-1 by closed-form recursion, as (theta_1·Nbar, theta_1):
+    row 1 is the only row of Nbar with a denominator, theta_1. Nbar·Mbar = I
+    is checked.
+
+    Read from column d down, row i of Nbar steps by -q(i+1,j) at each
+    column j > i+1, by -(theta_{i+1} - 1) at column i+1 and by -1 at column
+    i, except that row 1 takes these over theta_1; each row is the suffix
+    sums of its steps.
+    """
     d, th = inst.d, inst.theta
     th1 = th[0]
-    n = [[Fraction(0)] * (d + 1) for _ in range(d + 1)]  # 1-based
-    n[d][d] = Fraction(-1)
-    n[d - 1][d] = Fraction(-(th[d - 1] - 1))
-    for i in range(2, d - 1):
-        n[i][d] = Fraction(-_q(inst, i + 1, d))
-    if d >= 2:
-        n[1][d] = Fraction(-_q(inst, 2, d), th1)
-    for j in range(d - 1, 0, -1):
-        for i in range(1, d + 1):
-            if i == 1:
-                if j == 1:
-                    inc = Fraction(-1, th1)
-                elif j == 2:
-                    inc = Fraction(-(th[1] - 1), th1)
-                else:
-                    inc = Fraction(-_q(inst, 2, j), th1)
-            elif j < i:
-                inc = Fraction(0)
-            elif j == i:
-                inc = Fraction(-1)
-            elif j == i + 1:
-                inc = Fraction(-(th[i] - 1))
-            else:
-                inc = Fraction(-_q(inst, i + 1, j))
-            n[i][j] = n[i][j + 1] + inc
-    return check_inverse(Matrix([row[1:] for row in n[1:]]), grevlex_facet_matrix(inst))
+
+    def step(i: int, j: int) -> int:
+        if j < i:
+            return 0
+        term = 1 if j == i else th[i] - 1 if j == i + 1 else _q(inst, i + 1, j)
+        return -term if i == 1 else -th1 * term
+
+    rows = tuple(
+        tuple(accumulate(step(i, j) for j in range(d, 0, -1)))[::-1]
+        for i in range(1, d + 1)
+    )
+    return check_inverse(rows, th1, grevlex_facet_matrix(inst))
 
 
 @lru_cache(maxsize=None)
@@ -156,7 +150,7 @@ def grevlex_hrep(inst: GrevlexInstance) -> HRep:
     """
     missed = [VertexLabel.ubar(3)]
     missed += [VertexLabel.vbar(1, k) for k in range(3, inst.d + 1)]
-    return hrep_from_inverse(inst, grevlex_facet_matrix_inverse(inst), missed)
+    return hrep_from_inverse(inst, grevlex_facet_matrix_inverse(inst)[0], missed)
 
 
 def _symbolic_psi(inst: GrevlexInstance) -> dict[VertexLabel, frozenset[int]]:
@@ -234,7 +228,7 @@ def grevlex_graph(inst: GrevlexInstance) -> pg.PolytopeGraph:
 def grevlex_hamiltonian_cycle(inst: GrevlexInstance) -> tuple[VertexLabel, ...]:
     """Serpentine Hamiltonian cycle: 0, the ubar chain from d+1 down to 2,
     then columns k = 3..d+1 each entered on the previous exit row, closing
-    through 0. Machine-verified; search fallback if the recipe ever failed.
+    through 0. Machine-verified: a recipe that fails raises CheckFailed.
     """
     d = inst.d
     VB = VertexLabel.vbar

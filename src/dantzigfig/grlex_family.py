@@ -14,14 +14,14 @@ vertex keeps the v(k-1,k) label and the graph is the edge-contracted minor.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import prod
 
 from . import polytope_graph as pg
-from .exactmath import Matrix
 from .family import (
     Family,
+    IntRows,
     ThetaInstance,
     check_inverse,
     checked_coloring,
@@ -108,14 +108,14 @@ def grlex_vertices(inst: GrlexInstance) -> VRep:
 
 
 @lru_cache(maxsize=None)
-def grlex_facet_matrix(inst: GrlexInstance) -> Matrix:
+def grlex_facet_matrix(inst: GrlexInstance) -> IntRows:
     """M = [v(1,2)-theta, u(3)-theta, ..., u(d)-theta, w-theta], by columns."""
     d, th = inst.d, inst.theta
     cols = [_v_coords(inst, 1, 2)]
     cols += [_u_coords(inst, k) for k in range(3, d + 1)]
     cols.append((0,) * (d - 1) + (inst.b - 1,))
     cols = [tuple(c - t for c, t in zip(col, th)) for col in cols]
-    return Matrix(zip(*cols))
+    return tuple(zip(*cols))
 
 
 def _p(inst: GrlexInstance, i: int, j: int) -> int:
@@ -126,22 +126,28 @@ def _p(inst: GrlexInstance, i: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def grlex_facet_matrix_inverse(inst: GrlexInstance) -> Matrix:
-    """N = M^-1 by closed-form recursion; N·M = I is checked."""
-    d = inst.d
-    th2 = inst.theta[1]
-    n = [[Fraction(0)] * (d + 1) for _ in range(d + 1)]  # 1-based
-    for j in range(1, d + 1):
-        n[d][j] = Fraction(-1)
-    if d >= 2:
-        n[1][d] = Fraction(-_p(inst, 1, d - 1), th2)
-        for i in range(2, d):
-            n[i][d] = Fraction(-_p(inst, i, d - 1))
-    for j in range(d - 1, 0, -1):
-        n[1][j] = n[1][j + 1] + Fraction(_p(inst, 1, j - 1), th2)
-        for i in range(2, d):
-            n[i][j] = n[i][j + 1] + (_p(inst, i, j - 1) if j >= i else 0)
-    return check_inverse(Matrix([row[1:] for row in n[1:]]), grlex_facet_matrix(inst))
+def grlex_facet_matrix_inverse(inst: GrlexInstance) -> tuple[IntRows, int]:
+    """N = M^-1 by closed-form recursion, as (theta_2·N, theta_2): row 1 is
+    the only row of N with a denominator, theta_2. N·M = I is checked.
+
+    Read from column d down, row i of N starts at -p(i,d-1) and steps by
+    p(i,j-1) at each column j = d-1, ..., i, except that row 1 takes these
+    over theta_2; each row is the suffix sums of its steps.
+    """
+    d, th2 = inst.d, inst.theta[1]
+
+    def step(i: int, j: int) -> int:
+        if j == d:
+            term = -_p(inst, i, d - 1)
+        else:
+            term = _p(inst, i, j - 1) if j >= i else 0
+        return term if i == 1 else th2 * term
+
+    rows = tuple(
+        tuple(accumulate(step(i, j) for j in range(d, 0, -1)))[::-1]
+        for i in range(1, d + 1)
+    )
+    return check_inverse(rows, th2, grlex_facet_matrix(inst))
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +157,7 @@ def grlex_hrep(inst: GrlexInstance) -> HRep:
     The last nontrivial row is the grading inequality sum(x) <= b exactly.
     """
     missed = [VertexLabel.v(1, 2)] + [u_label(inst, k) for k in range(3, inst.d + 1)]
-    return hrep_from_inverse(inst, grlex_facet_matrix_inverse(inst), missed)
+    return hrep_from_inverse(inst, grlex_facet_matrix_inverse(inst)[0], missed)
 
 
 def _symbolic_psi(inst: GrlexInstance) -> dict[VertexLabel, frozenset[int]]:
@@ -266,7 +272,7 @@ def grlex_graph(inst: GrlexInstance) -> pg.PolytopeGraph:
 def grlex_hamiltonian_cycle(inst: GrlexInstance) -> tuple[VertexLabel, ...]:
     """Hamiltonian cycle: 0, last column ascending, u-run descending, theta,
     v(1,2), then columns 3..d-1 (entering at the previous column's exit row),
-    and w. Machine-verified; falls back to search if the recipe ever failed.
+    and w. Machine-verified: a recipe that fails raises CheckFailed.
     """
     d = inst.d
     merged = set(inst.merged_ks)

@@ -66,6 +66,8 @@ def _lines(k: int, budget: int):
 
 def _simplex_points(d: int, budget: int):
     # colex order: the first coordinate varies fastest; one list per line
+    if d == 0:
+        return iter([()])
     return chain.from_iterable(
         [(x0,) + tail for x0 in range(rest + 1)] for tail, rest in _lines(d - 1, budget)
     )

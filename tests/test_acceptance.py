@@ -11,9 +11,9 @@ Random draws use fixed seeds: reruns exercise identical instances.
 import random
 import time
 from fractions import Fraction
+from operator import mul
 
 from dantzigfig import FAMILIES
-from dantzigfig.exactmath import Matrix
 from dantzigfig.polytope_core import (
     VertexLabel,
     adjacency_from_incidence,
@@ -126,14 +126,15 @@ def test_c03_facet_matrix_inverses(capsys):
     try:
         for theta in _draws(103, 1, 4, dims=range(3, 11)):
             d = len(theta)
-            p = gl.make_grlex(theta)
-            assert gl.grlex_facet_matrix_inverse(p) * gl.grlex_facet_matrix(
-                p
-            ) == Matrix.identity(d)
-            q = gv.make_grevlex(theta)
-            assert gv.grevlex_facet_matrix_inverse(q) * gv.grevlex_facet_matrix(
-                q
-            ) == Matrix.identity(d)
+            p, q = gl.make_grlex(theta), gv.make_grevlex(theta)
+            for (n, den), m in (
+                (gl.grlex_facet_matrix_inverse(p), gl.grlex_facet_matrix(p)),
+                (gv.grevlex_facet_matrix_inverse(q), gv.grevlex_facet_matrix(q)),
+            ):
+                # N = n/den, so N·M = I reads n·M = den·I in integers
+                product = [[sum(map(mul, row, col)) for col in zip(*m)] for row in n]
+                assert den > 0
+                assert product == [[den * (i == j) for j in range(d)] for i in range(d)]
         assert time.perf_counter() - started < cap
         ok = True
     finally:
@@ -262,6 +263,15 @@ def test_c07_edge_expansion(capsys):
             graph = gl.grlex_graph(gl.make_grlex((2,) * d))
             result = edge_expansion_exact(graph, max_vertices=len(graph))
             assert result.value == 1, (d, result.value)
+        # a merged grlex theta keeps ratio 1 while theta_d >= 2, not after
+        for theta, h in [
+            ((2, 1, 2, 2), 1),
+            ((1, 1, 1, 1), F(7, 4)),
+            ((2, 2, 2, 1), F(8, 5)),
+            ((1, 1, 2, 1), F(8, 5)),
+        ]:
+            result = edge_expansion_exact(gl.grlex_graph(gl.make_grlex(theta)))
+            assert result.value == h, (theta, result.value)
         # the designated witness set achieves ratio 1
         for d in range(3, 9):
             p = gl.make_grlex((2,) * d)

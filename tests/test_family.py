@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from dantzigfig import FAMILIES, cli
+from dantzigfig import FAMILIES, cli, family
 from dantzigfig import grevlex_family as gv
 from dantzigfig import grlex_family as gl
+from dantzigfig import polytope_graph as pg
 from dantzigfig.orders import OrderKind
 from dantzigfig.polytope_core import CheckFailed
 
@@ -69,6 +70,17 @@ def test_coloring_returns_d_colors(name):
         inst = fam.make(theta)
         coloring, colors = fam.coloring(inst)
         assert colors == 4 and set(coloring) == set(fam.graph(inst).labels)
+
+
+@pytest.mark.parametrize("module,name", [(gl, "grlex"), (gv, "grevlex")])
+def test_broken_cycle_recipe_raises_without_search(monkeypatch, module, name):
+    # a recipe that misses a vertex fails its check; no search stands in
+    check = family.checked_cycle
+    monkeypatch.setattr(module, "checked_cycle", lambda graph, recipe: check(graph, recipe[:-1]))
+    monkeypatch.setattr(pg, "find_hamiltonian_cycle", lambda graph: pytest.fail("search ran"))
+    build = getattr(module, f"{name}_hamiltonian_cycle").__wrapped__  # past the cache
+    with pytest.raises(CheckFailed, match="recipe"):
+        build(FAMILIES[name].make((2, 3, 2, 2)))
 
 
 def test_corrupted_incidence_fails_under_optimize(tmp_path):

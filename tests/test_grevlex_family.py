@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dantzigfig.exactmath import Matrix, invert
+from dantzigfig.exactmath import adjugate, invert
 from dantzigfig.grevlex_family import (
     GrevlexInstance,
     ImproperColoring,
@@ -77,16 +77,12 @@ def test_ubar_endpoints():
 def test_facet_matrix_base():
     m = grevlex_facet_matrix(BASE)
     # columns: ubar(3)-theta, vbar(1,3)-theta, vbar(1,4)-theta
-    assert m.tolists() == [[-2, 1, 3], [2, -2, -2], [0, 1, -2]]
+    assert m == ((-2, 1, 3), (2, -2, -2), (0, 1, -2))
 
 
 def test_facet_matrix_inverse_base():
-    n = grevlex_facet_matrix_inverse(BASE)
-    assert n.tolists() == [
-        [-3, Fraction(-5, 2), -2],
-        [-2, -2, -1],
-        [-1, -1, -1],
-    ]
+    # N = n/den with den = theta_1 = 2: row 1 of N is (-3, -5/2, -2)
+    assert grevlex_facet_matrix_inverse(BASE) == (((-6, -5, -4), (-4, -4, -2), (-2, -2, -2)), 2)
 
 
 theta_vectors = st.lists(
@@ -98,19 +94,29 @@ theta_vectors = st.lists(
 @settings(max_examples=40, deadline=None)
 def test_inverse_recursion_matches_generic_inversion(theta):
     inst = make_grevlex(theta)
-    n = grevlex_facet_matrix_inverse(inst)
-    assert n == invert(grevlex_facet_matrix(inst))
-    assert n * grevlex_facet_matrix(inst) == Matrix.identity(inst.d)
+    n, den = grevlex_facet_matrix_inverse(inst)
+    m = grevlex_facet_matrix(inst)
+    adj, det = adjugate(m)
+    # n/den = adj/det, cross-multiplied in integers
+    assert [[a * det for a in row] for row in n] == [[a * den for a in row] for row in adj]
+    assert [[Fraction(a, den) for a in row] for row in n] == invert(m)
 
 
 def test_inverse_check_sees_every_row_at_d16():
     from dantzigfig.family import check_inverse
 
     inst = make_grevlex((2,) * 16)
-    n = grevlex_facet_matrix_inverse(inst).tolists()
-    n[5][3] += 1
+    n, den = grevlex_facet_matrix_inverse(inst)
+    m = grevlex_facet_matrix(inst)
+    mutated = [list(row) for row in n]
+    mutated[5][3] += 1
     with pytest.raises(CheckFailed):
-        check_inverse(Matrix(n), grevlex_facet_matrix(inst))
+        check_inverse(mutated, den, m)
+    # -n/-den is the same inverse, but the facet rows need den > 0
+    negated = [[-a for a in row] for row in n]
+    for rows, wrong_den in ((n, den + 1), (negated, -den)):
+        with pytest.raises(CheckFailed):
+            check_inverse(rows, wrong_den, m)
 
 
 @pytest.mark.parametrize("theta", [(2.9, 2, 2), (True, 2, 2)])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dantzigfig.exactmath import Matrix, invert
+from dantzigfig.exactmath import adjugate, invert
 from dantzigfig.grlex_family import (
     GrlexInstance,
     RequiresStrictTheta,
@@ -87,16 +87,12 @@ def test_merged_vertex_keeps_v_label():
 def test_facet_matrix_base():
     m = grlex_facet_matrix(BASE)
     # columns: v(1,2)-theta, u(3)-theta, w-theta
-    assert m.tolists() == [[2, -2, -2], [-2, 3, -2], [0, -1, 3]]
+    assert m == ((2, -2, -2), (-2, 3, -2), (0, -1, 3))
 
 
 def test_facet_matrix_inverse_base():
-    n = grlex_facet_matrix_inverse(BASE)
-    assert n.tolists() == [
-        [Fraction(-7, 2), -4, -5],
-        [-3, -3, -4],
-        [-1, -1, -1],
-    ]
+    # N = n/den with den = theta_2 = 2: row 1 of N is (-7/2, -4, -5)
+    assert grlex_facet_matrix_inverse(BASE) == (((-7, -8, -10), (-6, -6, -8), (-2, -2, -2)), 2)
 
 
 theta_vectors = st.lists(
@@ -108,19 +104,29 @@ theta_vectors = st.lists(
 @settings(max_examples=40, deadline=None)
 def test_inverse_recursion_matches_generic_inversion(theta):
     inst = make_grlex(theta)
-    n = grlex_facet_matrix_inverse(inst)
-    assert n == invert(grlex_facet_matrix(inst))
-    assert n * grlex_facet_matrix(inst) == Matrix.identity(inst.d)
+    n, den = grlex_facet_matrix_inverse(inst)
+    m = grlex_facet_matrix(inst)
+    adj, det = adjugate(m)
+    # n/den = adj/det, cross-multiplied in integers
+    assert [[a * det for a in row] for row in n] == [[a * den for a in row] for row in adj]
+    assert [[Fraction(a, den) for a in row] for row in n] == invert(m)
 
 
 def test_inverse_check_sees_every_row_at_d16():
     from dantzigfig.family import check_inverse
 
     inst = make_grlex((2,) * 16)
-    n = grlex_facet_matrix_inverse(inst).tolists()
-    n[5][3] += 1
+    n, den = grlex_facet_matrix_inverse(inst)
+    m = grlex_facet_matrix(inst)
+    mutated = [list(row) for row in n]
+    mutated[5][3] += 1
     with pytest.raises(CheckFailed):
-        check_inverse(Matrix(n), grlex_facet_matrix(inst))
+        check_inverse(mutated, den, m)
+    # -n/-den is the same inverse, but the facet rows need den > 0
+    negated = [[-a for a in row] for row in n]
+    for rows, wrong_den in ((n, den + 1), (negated, -den)):
+        with pytest.raises(CheckFailed):
+            check_inverse(rows, wrong_den, m)
 
 
 @pytest.mark.parametrize("theta", [(2.9, 2, 2), (True, 2, 2)])

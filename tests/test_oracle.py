@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dantzigfig import oracle
-from dantzigfig.exactmath import Matrix, rank, rank_of_rows
+from dantzigfig.exactmath import rank_of_rows
 from dantzigfig.oracle import (
     DEFAULT_POINT_CAP,
     BudgetExceeded,
@@ -135,6 +135,24 @@ def test_segment_membership_matches_point_set(kind, theta):
         assert (x in seg) == (x in members)
     for x in [(-1,) + theta[1:], theta + (0,), theta[:-1], (), tuple(map(F, theta))]:
         assert (x in seg) == (x in members)
+
+
+@pytest.mark.parametrize(
+    "kind,theta,points",
+    [
+        (OrderKind.GRLEX, (), ((),)),
+        (OrderKind.GREVLEX, (), ((),)),
+        (OrderKind.GRLEX, (2,), ((0,), (1,), (2,))),
+        (OrderKind.GREVLEX, (2,), ((0,), (1,), (2,))),
+        # degree 2 ties: grlex keeps (2,0), grevlex keeps (0,2)
+        (OrderKind.GRLEX, (1, 1), ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1))),
+        (OrderKind.GREVLEX, (1, 1), ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))),
+    ],
+)
+def test_segment_in_dimensions_0_to_2(kind, theta, points):
+    seg = enumerate_segment(kind, theta)
+    assert seg.points == points
+    assert all(x in seg for x in points)
 
 
 def test_vertices_in_segment_rejects_negative_and_wrong_length():
@@ -573,7 +591,12 @@ def test_facet_irredundancy_matches_rerun_family_sweep(d):
 
 def _full_dimension(vertices, d):
     """Whether the vertices affinely span dimension d."""
-    return bool(vertices) and rank(Matrix([c + (1,) for c in vertices])) == d + 1
+    rows = []
+    for c in vertices:
+        row = [F(a) for a in c + (1,)]
+        scale = lcm(*(a.denominator for a in row))  # integer rows, same rank
+        rows.append([int(a * scale) for a in row])
+    return bool(rows) and rank_of_rows(rows) == d + 1
 
 
 @st.composite

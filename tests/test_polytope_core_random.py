@@ -4,7 +4,7 @@ Each example is a bounded integer system (x >= 0, sum(x) <= b, and a few
 random rows, some with a rational rhs), scaled so that its vertices,
 enumerated by double description, are lattice points; a rational rhs
 survives on the rows that no vertex is tight on. The referee below uses
-only Fraction arithmetic, `exactmath.rank(Matrix(...))` and every vertex
+only Fraction arithmetic, `exactmath.rank_of_rows` and every vertex
 pair, which is how the integer routines in `polytope_core` are checked
 on inputs that come from neither family. `dantzig_hrep` is checked on the
 tangent cones of two simplicial vertices against rows solved by Cramer's
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dantzigfig.exactmath import Matrix, rank
+from dantzigfig.exactmath import rank_of_rows
 from dantzigfig.oracle import hull_vertices_by_basis
 from dantzigfig.polytope_core import (
     HRep,
@@ -75,7 +75,7 @@ def ref_tight(h, point) -> list[int]:
 def ref_adjacent(h, v, i, j) -> bool:
     points = [c for _, c in v]
     common = set(ref_tight(h, points[i])) & set(ref_tight(h, points[j]))
-    if rank(Matrix([h.normals[f] for f in sorted(common)])) != h.dim - 1:
+    if rank_of_rows([h.normals[f] for f in sorted(common)]) != h.dim - 1:
         return False
     return not any(
         common <= set(ref_tight(h, p))
