@@ -233,6 +233,8 @@ def cmd_verify(args) -> int:
     fam = FAMILIES[args.family]
     inst = fam.make(_parse_theta(args.theta))
     requested = [s.strip() for s in args.suites.split(",") if s.strip()]
+    if not requested:
+        raise CLIError(f"no suite named in --suites {args.suites!r}")
     all_mode = "all" in requested
     names = list(SUITE_NAMES) if all_mode else requested
     bad = [s for s in names if s not in _SUITES]

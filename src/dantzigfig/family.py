@@ -12,7 +12,6 @@ the CLI, the scripts and the tests know of a family.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 from typing import Optional
@@ -32,14 +31,33 @@ from .polytope_core import (
 )
 
 
-@dataclass(frozen=True)
 class ThetaInstance:
-    """A bound vector theta >= 1 with d >= 3, plus derived quantities."""
+    """A bound vector theta >= 1 with d >= 3, plus derived quantities.
 
-    theta: tuple[int, ...]
+    Immutable; equal, with equal hashes, to an instance of the same class
+    and theta, so it keys the families' caches.
+    """
 
-    def __post_init__(self):
-        check_theta(self.theta)
+    __slots__ = ("_theta",)
+
+    def __init__(self, theta: tuple[int, ...]):
+        check_theta(theta)
+        self._theta = theta
+
+    @property
+    def theta(self) -> tuple[int, ...]:
+        return self._theta
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._theta == other._theta
+
+    def __hash__(self) -> int:
+        return hash(self._theta)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(theta={self._theta!r})"
 
     @property
     def d(self) -> int:
@@ -111,7 +129,7 @@ def checked_incidence(
 
 
 def _sorted_pairs(pairs) -> list[tuple[VertexLabel, VertexLabel]]:
-    return sorted(tuple(sorted(p, key=VertexLabel.sort_key)) for p in pairs)
+    return sorted(tuple(sorted(p)) for p in pairs)
 
 
 def checked_edges(

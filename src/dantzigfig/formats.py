@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .polytope_core import HRep
+from .polytope_core import FacetId, HRep, VertexLabel
 
 
 class FormatError(ValueError):
@@ -110,6 +110,8 @@ def jsonable(obj):
         return obj.numerator if obj.denominator == 1 else _num(obj)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (VertexLabel, FacetId)):  # tuples, but printed as names
+        return str(obj)
     if isinstance(obj, (list, tuple)):
         return [jsonable(x) for x in obj]
     if isinstance(obj, (set, frozenset)):

@@ -44,6 +44,8 @@ ImproperColoring = CheckFailed
 class GrevlexInstance(ThetaInstance):
     """A bound vector theta >= 1 with d >= 3, plus derived quantities."""
 
+    __slots__ = ()
+
 
 def make_grevlex(theta) -> GrevlexInstance:
     return GrevlexInstance(tuple(theta))

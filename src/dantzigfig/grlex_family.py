@@ -47,6 +47,8 @@ class RequiresStrictTheta(ValueError):
 class GrlexInstance(ThetaInstance):
     """A bound vector theta >= 1 with d >= 3, plus derived quantities."""
 
+    __slots__ = ()
+
     @property
     def merged_ks(self) -> tuple[int, ...]:
         """Indices k >= 3 whose u(k) coincides with v(k-1,k)."""

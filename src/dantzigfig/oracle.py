@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd
@@ -37,13 +36,17 @@ class NotFullDimensional(RuntimeError):
 DEFAULT_POINT_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
 class LatticeSegment:
     """All lattice points x >= 0 with x <= theta in the given graded order."""
 
-    kind: OrderKind
-    theta: tuple[int, ...]
-    points: tuple[tuple[int, ...], ...]  # colex order
+    __slots__ = ("kind", "theta", "points")
+
+    def __init__(
+        self, kind: OrderKind, theta: tuple[int, ...], points: tuple[tuple[int, ...], ...]
+    ):
+        self.kind = kind
+        self.theta = theta
+        self.points = points  # colex order
 
     def __len__(self) -> int:
         return len(self.points)
@@ -107,12 +110,18 @@ def enumerate_segment(
     return LatticeSegment(kind=kind, theta=theta, points=tuple(keep))
 
 
-@dataclass(frozen=True)
 class BasisVertexSet:
     """Vertices of an HRep in sorted order, with their tight row indices."""
 
-    coords: tuple[tuple[int | Fraction, ...], ...]
-    tight_rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("coords", "tight_rows")
+
+    def __init__(
+        self,
+        coords: tuple[tuple[int | Fraction, ...], ...],
+        tight_rows: tuple[tuple[int, ...], ...],
+    ):
+        self.coords = coords
+        self.tight_rows = tight_rows
 
     def __len__(self) -> int:
         return len(self.coords)

@@ -14,11 +14,10 @@ optional `inc` (a family passes its cached one) and compute it when omitted.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import floor, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .exactmath import SingularError, adjugate, primitive_row, rank_of_rows
@@ -68,19 +67,28 @@ def check_theta(theta: tuple) -> None:
     check_theta_entries(theta)
 
 
-@dataclass(frozen=True, order=False)
-class VertexLabel:
+class VertexLabel(tuple):
     """Symbolic vertex identity, decoupled from coordinates.
 
     kind is one of "zero", "theta", "w", "u", "v", "ubar", "vbar"; the index
-    fields are used by the indexed kinds only.
+    fields are used by the indexed kinds only. A label is the immutable tuple
+    (rank of kind, k, j, kind): its tuple order is sort_key(), so ==, hash
+    and sorting run as tuple operations, and the kind string keeps a label
+    unequal to any coordinate tuple and to any FacetId.
     """
 
-    kind: str
-    j: int = 0
-    k: int = 0
-
+    __slots__ = ()
     _RANK = {"zero": 0, "theta": 1, "w": 2, "u": 3, "ubar": 4, "v": 5, "vbar": 6}
+
+    def __new__(cls, kind: str, j: int = 0, k: int = 0) -> "VertexLabel":
+        return tuple.__new__(cls, (cls._RANK[kind], k, j, kind))
+
+    def __getnewargs__(self) -> tuple[str, int, int]:
+        return self.kind, self.j, self.k
+
+    kind = property(itemgetter(3))
+    j = property(itemgetter(2))
+    k = property(itemgetter(1))
 
     @staticmethod
     def zero() -> "VertexLabel":
@@ -119,32 +127,41 @@ class VertexLabel:
         return VertexLabel("vbar", j=j, k=k)
 
     def sort_key(self) -> tuple[int, int, int]:
-        return (self._RANK[self.kind], self.k, self.j)
-
-    def __lt__(self, other: "VertexLabel") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self[:3]
 
     def __str__(self) -> str:
-        if self.kind == "zero":
+        _, k, j, kind = self
+        if kind == "zero":
             return "0"
-        if self.kind in ("theta", "w"):
-            return self.kind
-        if self.kind in ("u", "ubar"):
-            return f"{self.kind}({self.k})"
-        return f"{self.kind}({self.j},{self.k})"
+        if kind in ("theta", "w"):
+            return kind
+        if kind in ("u", "ubar"):
+            return f"{kind}({k})"
+        return f"{kind}({j},{k})"
 
     def __repr__(self) -> str:
         return f"<{self}>"
 
 
-@dataclass(frozen=True)
-class FacetId:
+class FacetId(tuple):
     """Identity of a facet: a coordinate plane, the grading plane, or the
-    nontrivial facet named after the unique theta-neighbor it misses."""
+    nontrivial facet named after the unique theta-neighbor it misses.
 
-    kind: str  # "coord" | "grading" | "nontrivial"
-    i: int = 0
-    label: Optional[VertexLabel] = None
+    The immutable tuple (kind, i, label), kind one of "coord", "grading",
+    "nontrivial"; its leading string keeps it unequal to any VertexLabel.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, i: int = 0, label: Optional[VertexLabel] = None) -> "FacetId":
+        return tuple.__new__(cls, (kind, i, label))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    kind = property(itemgetter(0))
+    i = property(itemgetter(1))
+    label = property(itemgetter(2))
 
     @staticmethod
     def coord(i: int) -> "FacetId":
@@ -324,7 +341,6 @@ class VRep:
         return f"VRep({len(self.entries)} vertices)"
 
 
-@dataclass
 class IncidenceMatrix:
     """Vertex x facet tightness bits, the combinatorial-type carrier.
 
@@ -332,21 +348,16 @@ class IncidenceMatrix:
     facet_masks[f] is the transpose view.
     """
 
-    labels: list
-    facet_ids: list
-    vertex_masks: list[int]
-    facet_masks: list[int] = field(default_factory=list)
+    __slots__ = ("labels", "facet_ids", "vertex_masks", "facet_masks")
 
-    def __post_init__(self):
-        if not self.facet_masks:
-            self.facet_masks = [
-                sum(
-                    1 << i
-                    for i, vm in enumerate(self.vertex_masks)
-                    if vm >> f & 1
-                )
-                for f in range(len(self.facet_ids))
-            ]
+    def __init__(self, labels: list, facet_ids: list, vertex_masks: list[int]):
+        self.labels = labels
+        self.facet_ids = facet_ids
+        self.vertex_masks = vertex_masks
+        self.facet_masks = [
+            sum(1 << i for i, vm in enumerate(vertex_masks) if vm >> f & 1)
+            for f in range(len(facet_ids))
+        ]
 
     def tight_facets(self, label) -> list:
         i = self.labels.index(label)
@@ -423,13 +434,20 @@ def adjacency_from_incidence(h: HRep, inc: IncidenceMatrix) -> list[tuple]:
     ]
 
 
-@dataclass
 class TangentCone:
     """Vertex cone: apex plus edge-direction generators and tight rows."""
 
-    apex: tuple[int, ...]
-    generators: list[tuple[int, ...]]
-    tight_rows: list[tuple[tuple[int, ...], int | Fraction]]
+    __slots__ = ("apex", "generators", "tight_rows")
+
+    def __init__(
+        self,
+        apex: tuple[int, ...],
+        generators: list[tuple[int, ...]],
+        tight_rows: list[tuple[tuple[int, ...], int | Fraction]],
+    ):
+        self.apex = apex
+        self.generators = generators
+        self.tight_rows = tight_rows
 
     def hrep(self) -> HRep:
         """The cone as inequalities; the apex is tight on every row."""

@@ -9,7 +9,6 @@ Fraction-valued result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -194,7 +193,6 @@ def proper_coloring_search(graph: PolytopeGraph, max_colors: int):
     return {graph.labels[i]: colors[i] for i in range(n)}
 
 
-@dataclass(frozen=True)
 class ExpansionResult:
     """Exact edge expansion h(G) with an achieving cut.
 
@@ -203,9 +201,22 @@ class ExpansionResult:
     count. No subset of size <= n/2 does better.
     """
 
-    value: Fraction
-    witness: tuple
-    boundary: int
+    __slots__ = ("value", "witness", "boundary")
+
+    def __init__(self, value: Fraction, witness: tuple, boundary: int):
+        self.value = value
+        self.witness = witness
+        self.boundary = boundary
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ExpansionResult:
+            return NotImplemented
+        return (self.value, self.witness, self.boundary) == (
+            other.value, other.witness, other.boundary
+        )
+
+    def __repr__(self) -> str:
+        return f"ExpansionResult({self.value!r}, {self.witness!r}, {self.boundary!r})"
 
 
 def edge_expansion_exact(graph: PolytopeGraph, max_vertices: int = 24) -> ExpansionResult:

@@ -254,12 +254,12 @@ def test_c07_edge_expansion(capsys):
             qres = edge_expansion_exact(gv.grevlex_graph(q))
             reported.append(f"d={d}:{qres.value}")
         # past the default 24-vertex cap: grevlex d = 7 (n = 29) and the
-        # grlex ratio 1 up to d = 9 (n = 46)
+        # grlex ratio 1 up to d = 10 (n = 56)
         graph = gv.grevlex_graph(gv.make_grevlex((2,) * 7))
         qres = edge_expansion_exact(graph, max_vertices=len(graph))
         assert qres.value == F(32, 13), qres.value
         reported.append(f"d=7:{qres.value}")
-        for d in range(7, 10):
+        for d in range(7, 11):
             graph = gl.grlex_graph(gl.make_grlex((2,) * d))
             result = edge_expansion_exact(graph, max_vertices=len(graph))
             assert result.value == 1, (d, result.value)

@@ -326,6 +326,8 @@ def test_graph_json_merged_uses_relaxed_coloring(capsys):
         ("construct", "--family", "nope", "--theta", "2,2,2"),
         ("construct",),
         (),
+        ("verify", "--family", "grlex", "--theta", "2,2,2", "--suites", ","),
+        ("verify", "--family", "grevlex", "--theta", "2,2,2", "--suites", ""),
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -345,3 +347,24 @@ def test_console_entry_point_is_main():
     root = Path(__file__).resolve().parents[1]
     text = (root / "pyproject.toml").read_text()
     assert 'dantzigfig = "dantzigfig.cli:main"' in text
+
+
+def test_import_pulls_in_no_introspection_modules():
+    # Every CLI call pays for its imports; dataclasses alone would bring
+    # inspect, ast, dis and tokenize. Run as the benchmark runs the CLI:
+    # the checkout's sources on PYTHONPATH and no other PYTHON* setting.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(src)
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    script = f"import sys, dantzigfig.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -16,7 +16,7 @@ from dantzigfig.formats import (
     write_ine,
 )
 from dantzigfig.grlex_family import grlex_graph, grlex_hrep, grlex_vertices, make_grlex
-from dantzigfig.polytope_core import HRep, VRep
+from dantzigfig.polytope_core import FacetId, HRep, VRep, VertexLabel
 
 F = Fraction
 
@@ -105,6 +105,17 @@ def test_jsonable():
     assert jsonable(1.5) == 1.5
     # objects with a str form fall back to it
     assert jsonable(HRep([((1,), 1)]).ids) == jsonable(None)
+
+
+def test_dump_report_prints_labels_and_facet_ids_by_name():
+    u4, v12 = VertexLabel.u(4), VertexLabel.v(1, 2)
+    report = {"label": u4, "facet": FacetId.nontrivial(v12), "pair": (u4, v12), "set": {v12}}
+    assert json.loads(dump_report(report)) == {
+        "label": "u(4)",
+        "facet": "missing[v(1,2)]",
+        "pair": ["u(4)", "v(1,2)"],
+        "set": ["v(1,2)"],
+    }
 
 
 def test_dump_report_is_valid_json():

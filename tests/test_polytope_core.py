@@ -5,6 +5,8 @@ pentagon gives simple degenerate structure (a 5-valent apex in R^3) and,
 usefully, no antipodal vertex pair at all.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -128,6 +130,64 @@ def test_facet_id_str():
     assert str(FacetId.coord(2)) == "coord(2)"
     assert str(FacetId.grading()) == "grading"
     assert str(FacetId.nontrivial(VertexLabel.v(1, 2))) == "missing[v(1,2)]"
+
+
+def _family_instances():
+    """Both families at d = 3..8: grevlex and strict grlex at (2,...,2),
+    grlex also with theta_k = 1 merges (every third entry, and all ones)."""
+    for d in range(3, 9):
+        yield make_grevlex((2,) * d)
+        yield make_grlex((2,) * d)
+        yield make_grlex(tuple(1 if k % 3 == 2 else 2 for k in range(d)))
+        yield make_grlex((1,) * d)
+
+
+def _reference_str(kind, j, k):
+    """How a label printed as a record of (kind, j, k)."""
+    if kind == "zero":
+        return "0"
+    if kind in ("theta", "w"):
+        return kind
+    if kind in ("u", "ubar"):
+        return f"{kind}({k})"
+    return f"{kind}({j},{k})"
+
+
+def test_label_value_semantics():
+    rank = {"zero": 0, "theta": 1, "w": 2, "u": 3, "ubar": 4, "v": 5, "vbar": 6}
+    for inst in _family_instances():
+        grlex = isinstance(inst, dantzigfig.GrlexInstance)
+        fam = dantzigfig.FAMILIES["grlex" if grlex else "grevlex"]
+        v, ids = fam.vertices(inst), fam.hrep(inst).ids
+        labels = v.labels()
+        assert sorted(labels[::-1]) == sorted(labels, key=lambda x: (rank[x.kind], x.k, x.j))
+        for label, coords in v:
+            again = VertexLabel(label.kind, label.j, label.k)
+            assert again == label and hash(again) == hash(label) and again is not label
+            assert str(label) == _reference_str(label.kind, label.j, label.k)
+            assert repr(label) == f"<{_reference_str(label.kind, label.j, label.k)}>"
+            assert label.sort_key() == (rank[label.kind], label.k, label.j)
+            assert label != coords and label != tuple(coords)
+            assert all(label != fid for fid in ids)
+        for fid in ids:
+            assert FacetId(fid.kind, fid.i, fid.label) == fid
+            assert hash(FacetId(fid.kind, fid.i, fid.label)) == hash(fid)
+            assert repr(fid) == f"<{fid}>"
+    assert VertexLabel.zero() != (0, 0, 0)
+    assert VertexLabel.zero() != FacetId.grading()
+
+
+def test_labels_and_instances_are_immutable_values():
+    label, fid = VertexLabel.vbar(1, 3), FacetId.nontrivial(VertexLabel.u(4))
+    inst = make_grlex((2, 2, 2))
+    for obj, name in ((label, "k"), (label, "extra"), (fid, "i"), (inst, "theta"), (inst, "d")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 5)
+    for obj in (label, fid, inst):
+        assert copy.copy(obj) == obj and pickle.loads(pickle.dumps(obj)) == obj
+    assert make_grlex((2, 2, 2)) == inst and hash(make_grlex((2, 2, 2))) == hash(inst)
+    assert make_grlex((2, 2, 2)) != make_grevlex((2, 2, 2))
+    assert make_grlex((2, 2, 2)) != make_grlex((2, 2, 3))
 
 
 # ------------------------------------------------------------------ HRep
