@@ -17,7 +17,7 @@ Usage:
 import argparse
 import time
 
-from dantzigfig import FAMILIES
+from dantzigfig import FAMILIES, CheckFailed
 from dantzigfig.polytope_graph import cut_edges, edge_expansion_exact
 
 
@@ -43,7 +43,8 @@ def scan_witness(d):
             continue
         witness, boundary = found
         cut = cut_edges(fam.graph(inst), witness)
-        assert len(cut) == boundary == len(witness) == d
+        if not len(cut) == boundary == len(witness) == d:
+            raise CheckFailed(f"d={d} {family}: the witness cut ratio is not 1")
         print(
             f"d={d} {family:8s} witness-only: ratio {boundary}/{len(witness)} = 1"
             f"  S = 0 + last column"

@@ -13,7 +13,7 @@ Usage:
 
 import argparse
 
-from dantzigfig import FAMILIES
+from dantzigfig import FAMILIES, CheckFailed
 from dantzigfig.polytope_graph import (
     radius_and_diameter,
     verify_coloring,
@@ -36,7 +36,8 @@ def census_row(family, d, entry):
     degrees = graph.degree_multiset()
     radius, diameter = radius_and_diameter(graph)
     proper, ncolors = verify_coloring(graph, coloring)
-    assert proper
+    if not proper:
+        raise CheckFailed(f"{family} d={d}: coloring is not proper")
     return {
         "family": family,
         "d": d,
@@ -78,8 +79,10 @@ def main() -> int:
     print("closed-form checks: verts == (d^2+d+2)/2, edges == (d^3+2d)/3")
     for d in d_values:
         sample = [r for r in rows if r["d"] == d]
-        assert all(r["verts"] == (d * d + d + 2) // 2 for r in sample)
-        assert all(r["edges"] == (d**3 + 2 * d) // 3 for r in sample)
+        if any(r["verts"] != (d * d + d + 2) // 2 for r in sample):
+            raise CheckFailed(f"d={d}: vertex count is not (d^2+d+2)/2")
+        if any(r["edges"] != (d**3 + 2 * d) // 3 for r in sample):
+            raise CheckFailed(f"d={d}: edge count is not (d^3+2d)/3")
     print(f"hold for d = {d_values[0]}..{d_values[-1]}")
     return 0
 

@@ -87,11 +87,13 @@ def _suite_facets(fam, inst, budget) -> dict:
 def _suite_incidence(fam, inst, budget) -> dict:
     inc = fam.incidence(inst)  # construction checks symbolic == numeric
     h = fam.hrep(inst)
-    v = fam.vertices(inst)
     d = inst.d
     vertex_bits_ok = all(m.bit_count() >= d for m in inc.vertex_masks)
     facet_bits_ok = all(m.bit_count() >= d for m in inc.facet_masks)
-    ridge_ok = all(facet_spans_ridge(h, v, f, inc) for f in range(len(h.normals)))
+    # the criterion needs a complete vertex list, which the DD run certifies
+    basis = oracle.hull_vertices_by_basis(h)
+    complete = basis.coordinate_set() == fam.vertices(inst).coordinate_set()
+    ridge_ok = complete and all(facet_spans_ridge(inc, f) for f in range(len(h)))
     return {
         "passed": vertex_bits_ok and facet_bits_ok and ridge_ok,
         "details": {

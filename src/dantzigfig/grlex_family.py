@@ -353,26 +353,18 @@ def grlex_coloring(inst: GrlexInstance) -> dict[VertexLabel, int]:
 def grlex_coloring_relaxed(inst: GrlexInstance) -> tuple[dict[VertexLabel, int], int]:
     """Checked d-coloring for any theta >= 1 (merged minors included).
 
-    Seeds the strict scheme restricted to surviving labels (a merged vertex
-    then tries its absorbed u(k) color), checks it on the minor, and falls
-    back to a backtracking search with d colors. Returns (coloring, colors
-    used), always d: a d-clique survives contraction, so fewer is
-    impossible, and a minor that needs more raises CheckFailed.
+    Without merges the graph is the strict one and takes the strict scheme.
+    A merged minor is colored by the backtracking search with d colors, the
+    method for merged theta, not a fallback. Returns (coloring, colors used),
+    always d: a d-clique survives contraction, so fewer is impossible, and a
+    minor that needs more raises CheckFailed.
     """
     d = inst.d
-    base = _coloring_scheme(d)
     graph = grlex_graph(inst)
-    seed = {label: base[label] for label in graph.labels}
-    for variant in (None, *inst.merged_ks):
-        if variant is not None:
-            # merged v(k-1,k) absorbed u(k); try inheriting its color
-            seed[VertexLabel.v(variant - 1, variant)] = base[VertexLabel.u(variant)]
-        if pg.verify_coloring(graph, seed) == (True, d):
-            return seed, d
-    found = pg.proper_coloring_search(graph, d)
-    if found is None:
+    coloring = pg.proper_coloring_search(graph, d) if inst.merged_ks else _coloring_scheme(d)
+    if coloring is None:
         raise CheckFailed(f"merged minor needs more than d = {d} colors")
-    return checked_coloring(graph, found, d), d
+    return checked_coloring(graph, coloring, d), d
 
 
 def grlex_expansion_witness(

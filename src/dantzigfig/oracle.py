@@ -13,12 +13,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import comb, gcd
 
 from .exactmath import adjugate, bareiss_echelon, primitive_row, rank_of_rows
 from .orders import OrderKind, is_initial_segment_member
-from .polytope_core import CheckFailed, HRep, VRep, check_theta_entries
+from .polytope_core import CheckFailed, HRep, IncidenceMatrix, VRep, check_theta_entries
+from .polytope_core import facet_spans_ridge
 
 
 class BudgetExceeded(RuntimeError):
@@ -130,7 +132,8 @@ class BasisVertexSet:
         return frozenset(self.coords)
 
 
-def _extreme_rays(h: HRep) -> list[tuple[tuple[int, ...], int]]:
+@lru_cache(maxsize=1)
+def _extreme_rays(h: HRep) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Extreme rays of the cone {(x,t) : a·x - beta·t <= 0 per row, t >= 0}.
 
     Incremental double description: start from the simplicial cone of d+1
@@ -142,6 +145,8 @@ def _extreme_rays(h: HRep) -> list[tuple[tuple[int, ...], int]]:
     which both rays of the pair are tight. Raises UnboundedSuspected when
     the rows have rank below d+1 (the polyhedron contains a line) or a ray
     has t = 0 (a recession direction), so each ray (x, t) is a vertex x/t.
+    The last run is cached by HRep identity (HRep has no __eq__) as a tuple
+    no caller can change, so the checks of one verify call share one run.
     """
     d = h.dim
     rows = [(0,) * d + (-1,)] + [
@@ -188,7 +193,7 @@ def _extreme_rays(h: HRep) -> list[tuple[tuple[int, ...], int]]:
     for ray, _ in rays:
         if ray[d] == 0:
             raise UnboundedSuspected(f"recession ray {ray[:d]}")
-    return rays
+    return tuple(rays)
 
 
 def hull_vertices_by_basis(h: HRep) -> BasisVertexSet:
@@ -238,26 +243,24 @@ def verify_hull_equivalence(segment: LatticeSegment, h: HRep, v: VRep) -> dict:
 def facet_irredundancy(h: HRep) -> list[dict]:
     """Per-row evidence that dropping the row changes the polytope.
 
-    One double-description run gives every vertex with its tight rows. A
-    row of a full-dimensional polytope is needed iff no other row equals it
-    (rows are primitive) and its tight vertices span a (d-1)-face, a facet
-    (Ziegler, Lectures on Polytopes, ch. 2): the rays (x, t) tight on it
-    have rank d. Raises UnboundedSuspected on a recession ray and
-    NotFullDimensional when the rays have rank below d+1.
+    One double-description run gives the complete vertex list with the tight
+    rows of each, so a row is needed iff facet_spans_ridge holds: its tight
+    set is nonempty and no other row's equals or contains it. Raises
+    UnboundedSuspected on a recession ray, and NotFullDimensional when there
+    is no vertex or a row is tight at every vertex (such rows cut out the
+    affine hull; Schrijver, Theory of Linear and Integer Programming, 8.2).
     """
-    d = h.dim
     rays = _extreme_rays(h)
-    span = rank_of_rows([ray for ray, _ in rays])
-    if span < d + 1:
-        raise NotFullDimensional(f"the vertices span dimension {span - 1} < {d}")
+    inc = IncidenceMatrix(range(len(rays)), range(len(h)), [z >> 1 for _, z in rays])
+    if not rays or (1 << len(rays)) - 1 in inc.facet_masks:
+        raise NotFullDimensional(f"{len(rays)} vertices, not full-dimensional")
     copies = Counter(h.rows())
     out = []
     for i, row in enumerate(h.rows()):
-        tight = [ray for ray, mask in rays if mask >> (i + 1) & 1]
-        rank = rank_of_rows(tight)
-        evidence = f"{len(tight)} tight vertices span dimension {rank - 1}"
+        changed = facet_spans_ridge(inc, i)
+        tight = inc.facet_masks[i].bit_count()
+        evidence = f"{tight} tight vertices, {'' if changed else 'not '}a facet"
         if copies[row] > 1:
             evidence = f"one of {copies[row]} equal rows"
-        changed = rank == d and copies[row] == 1
         out.append({"row": i, "changed": changed, "evidence": evidence})
     return out

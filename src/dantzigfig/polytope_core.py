@@ -7,8 +7,7 @@ listing, and the two-cone H-representation builder used for Dantzig-figure
 certification, plus the theta check and the CheckFailed error both families
 share. Everything here is dimension-agnostic; the construction recipe the
 families share lives in `family`, their closed forms in the grlex/grevlex
-modules. The functions that read the incidence of (h, v) take it as an
-optional `inc` (a family passes its cached one) and compute it when omitted.
+modules. The functions that read the incidence of (h, v) take it as `inc`.
 """
 
 from __future__ import annotations
@@ -533,13 +532,15 @@ def list_antipodal_pairs(inc: IncidenceMatrix) -> list[tuple]:
     ]
 
 
-def facet_spans_ridge(h: HRep, v: VRep, facet_index: int, inc: IncidenceMatrix) -> bool:
-    """Facet certificate: the facet's incident vertices affinely span a
-    (d-1)-dimensional set."""
-    fm = inc.facet_masks[facet_index]
-    on_facet = [v.coords(label) for i, label in enumerate(inc.labels) if fm >> i & 1]
-    if len(on_facet) < h.dim:
+def facet_spans_ridge(inc: IncidenceMatrix, f: int) -> bool:
+    """Whether row f is a facet, from tight sets; inc's vertex list must be
+    complete. Then a row is a facet iff its tight vertex set is nonempty and
+    no other row's set equals or contains it (Ziegler, Lectures on
+    Polytopes, ch. 2). False when some row is tight at every vertex: the
+    vertices then lie in a hyperplane, so the polytope is not
+    full-dimensional."""
+    masks = inc.facet_masks
+    if (1 << len(inc.labels)) - 1 in masks:
         return False
-    base = on_facet[0]
-    diffs = [tuple(x - y for x, y in zip(p, base)) for p in on_facet[1:]]
-    return rank_of_rows(diffs) == h.dim - 1
+    fm = masks[f]
+    return fm != 0 and all(m & fm != fm for g, m in enumerate(masks) if g != f)

@@ -202,6 +202,24 @@ def test_verify_computes_the_numeric_incidence_once(capsys, monkeypatch, family)
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("family", ["grlex", "grevlex"])
+def test_verify_all_runs_the_dd_once(capsys, monkeypatch, family):
+    # the DD body calls adjugate once per run, below the cache on _extreme_rays
+    from dantzigfig import oracle
+
+    runs = []
+    adjugate = oracle.adjugate
+    monkeypatch.setattr(oracle, "adjugate", lambda rows: runs.append(rows) or adjugate(rows))
+    oracle._extreme_rays.cache_clear()
+    code, out, _ = run(
+        capsys, "verify", "--family", family, "--theta", "2,3,2,2", "--suites", "all"
+    )
+    report = json.loads(out)
+    assert code == 0 and report["passed"]
+    assert not any(suite["skipped"] for suite in report["suites"])
+    assert len(runs) == 1
+
+
 # ------------------------------------------------------------ compare
 
 

@@ -504,8 +504,8 @@ def test_facet_irredundancy_flags_redundant_row():
     )
     rows = facet_irredundancy(h)
     assert [r["changed"] for r in rows] == [True, True, True, True, False]
-    assert rows[0]["evidence"] == "2 tight vertices span dimension 1"
-    assert rows[4]["evidence"] == "0 tight vertices span dimension -1"
+    assert rows[0]["evidence"] == "2 tight vertices, a facet"
+    assert rows[4]["evidence"] == "0 tight vertices, not a facet"
 
 
 def test_facet_irredundancy_duplicates_and_lower_faces():
@@ -524,7 +524,7 @@ def test_facet_irredundancy_duplicates_and_lower_faces():
     rows = facet_irredundancy(h)
     assert [r["changed"] for r in rows] == [True, True, False, True, False, False]
     assert rows[2]["evidence"] == rows[4]["evidence"] == "one of 2 equal rows"
-    assert rows[5]["evidence"] == "1 tight vertices span dimension 0"
+    assert rows[5]["evidence"] == "1 tight vertices, not a facet"
     assert changed_flags(h) == rerun_irredundancy(h)
 
 

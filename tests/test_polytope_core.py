@@ -286,9 +286,21 @@ def test_facet_spans_ridge():
     h, v = pentagonal_pyramid()
     inc = incidence(h, v)
     for f in range(len(h.normals)):
-        assert facet_spans_ridge(h, v, f, inc)
+        assert facet_spans_ridge(inc, f)
     hs, vs = unit_square()
-    assert facet_spans_ridge(hs, vs, 0, incidence(hs, vs))
+    assert facet_spans_ridge(incidence(hs, vs), 0)
+    # the right edge twice (once scaled) and x + y <= 2, tight at (1, 1)
+    # only: equal tight sets and a set inside another are no facets
+    h = HRep(hs.rows() + [((2, 0), 2), ((1, 1), 2)])
+    inc = incidence(h, vs)
+    assert [facet_spans_ridge(inc, f) for f in range(len(h))] == [
+        True, True, False, True, False, False
+    ]
+    # the bottom edge alone: y >= 0 is tight at both vertices, so they span
+    # no full-dimensional polytope and no row is a facet
+    inc = incidence(hs, VRep([("00", (0, 0)), ("10", (1, 0))]))
+    assert inc.facet_masks[1] == 0b11
+    assert not any(facet_spans_ridge(inc, f) for f in range(len(hs)))
 
 
 # ---------------------------------------------------------- cones, pairs

@@ -6,9 +6,11 @@ enumerated by double description, are lattice points; a rational rhs
 survives on the rows that no vertex is tight on. The referee below uses
 only Fraction arithmetic, `exactmath.rank_of_rows` and every vertex
 pair, which is how the integer routines in `polytope_core` are checked
-on inputs that come from neither family. `dantzig_hrep` is checked on the
-tangent cones of two simplicial vertices against rows solved by Cramer's
-rule with Leibniz determinants. The packed batch test
+on inputs that come from neither family. `facet_spans_ridge` is checked
+against the rank of each row's vertex differences, on these polytopes,
+on lower-dimensional ones and on both families. `dantzig_hrep` is
+checked on the tangent cones of two simplicial vertices against rows
+solved by Cramer's rule with Leibniz determinants. The packed batch test
 `HRep.contains_all` is checked against `contains` point by point.
 """
 
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dantzigfig import FAMILIES
 from dantzigfig.exactmath import rank_of_rows
 from dantzigfig.oracle import hull_vertices_by_basis
 from dantzigfig.polytope_core import (
@@ -30,6 +33,7 @@ from dantzigfig.polytope_core import (
     adjacency_from_incidence,
     cone_cover_test,
     dantzig_hrep,
+    facet_spans_ridge,
     incidence,
     list_antipodal_pairs,
     tangent_cone,
@@ -50,6 +54,11 @@ def lattice_polytopes(draw):
     for a, beta in draw(st.lists(st.tuples(normal, _rhs), max_size=4)):
         if any(a):
             rows.append((a, beta))  # beta >= 0, so the origin stays feasible
+    return lattice_system(rows)
+
+
+def lattice_system(rows):
+    """The system, scaled so that its vertices are lattice points, with them."""
     h = HRep(rows)
     coords = hull_vertices_by_basis(h).coords
     scale = lcm(*(x.denominator for c in coords for x in c))
@@ -102,6 +111,20 @@ def ref_generators(h, v, i) -> list[tuple]:
         for j, p in enumerate(points)
         if j != i and ref_adjacent(h, v, min(i, j), max(i, j))
     ]
+
+
+def ref_facet(h, v, f) -> bool:
+    """The rank route: on a full-dimensional polytope, row f is a facet iff
+    no other row equals it and the differences of its vertices have rank
+    d - 1."""
+    points = [c for _, c in v]
+    if rank_of_rows([c + (1,) for c in points]) < h.dim + 1:
+        return False
+    on = [p for p in points if f in ref_tight(h, p)]
+    if not on:
+        return False
+    diffs = [tuple(x - y for x, y in zip(p, on[0])) for p in on[1:]]
+    return rank_of_rows(diffs) == h.dim - 1 and h.rows().count(h.rows()[f]) == 1
 
 
 def ref_cover(h, v, members) -> bool:
@@ -201,6 +224,43 @@ def test_incidence_and_adjacency_match_referee(hv):
         else:
             with pytest.raises(ValueError):
                 tangent_cone(h, v, label, inc)
+
+
+_LOWER_DIMENSIONAL = [
+    # a point, the diagonal segment of a square, a triangle in z = 0 of 3-space
+    [((-1, 0), 0), ((0, -1), 0), ((1, 1), 0)],
+    [((-1, 0), 0), ((0, -1), 0), ((1, 1), 4), ((1, -1), 0), ((-1, 1), 0)],
+    [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 1, 1), 2), ((0, 0, 1), 0)],
+]
+
+
+def check_facets_against_rank_referee(h, v):
+    inc = incidence(h, v)
+    expected = [ref_facet(h, v, f) for f in range(len(h))]
+    assert [facet_spans_ridge(inc, f) for f in range(len(h))] == expected
+    return expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(hv=lattice_polytopes())
+def test_facet_spans_ridge_matches_rank_referee(hv):
+    check_facets_against_rank_referee(*hv)
+
+
+@pytest.mark.parametrize("rows", _LOWER_DIMENSIONAL)
+def test_facet_spans_ridge_matches_rank_referee_lower_dimensional(rows):
+    assert not any(check_facets_against_rank_referee(*lattice_system(rows)))
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_facet_spans_ridge_matches_rank_referee_on_the_families(d):
+    merged = ((2, 3) + (1, 2) * d)[:d]  # theta_3 = 1: grlex merges u(3)
+    assert FAMILIES["grlex"].make(merged).merged_ks
+    for fam in FAMILIES.values():
+        for theta in ((2,) * d, merged):
+            inst = fam.make(theta)
+            h, v = fam.hrep(inst), fam.vertices(inst)
+            assert all(check_facets_against_rank_referee(h, v))
 
 
 @settings(max_examples=60, deadline=None)
