@@ -50,6 +50,7 @@ from .oracle import (
     enumerate_segment,
     facet_irredundancy,
     hull_vertices_by_basis,
+    segment_pieces,
     verify_hull_equivalence,
 )
 from .orders import (

@@ -174,12 +174,10 @@ def _suite_expansion(fam, inst, budget) -> dict:
 
 
 def _suite_oracle(fam, inst, budget) -> dict:
-    seg = oracle.enumerate_segment(fam.kind, inst.theta, point_cap=budget["point_cap"])
-    report = oracle.verify_hull_equivalence(seg, fam.hrep(inst), fam.vertices(inst))
-    return {
-        "passed": report["pass"],
-        "details": {**report, "segment_points": len(seg)},
-    }
+    report = oracle.verify_hull_equivalence(
+        fam.kind, inst.theta, fam.hrep(inst), fam.vertices(inst)
+    )
+    return {"passed": report["pass"], "details": report}
 
 
 _SUITES = {
@@ -242,10 +240,7 @@ def cmd_verify(args) -> int:
     bad = [s for s in names if s not in _SUITES]
     if bad:
         raise CLIError(f"unknown suites: {bad}; valid: {SUITE_NAMES} or all")
-    budget = {
-        "expansion_max_n": args.expansion_max_n,
-        "point_cap": args.point_cap,
-    }
+    budget = {"expansion_max_n": args.expansion_max_n}
     results = []
     failed = False
     for name in names:
@@ -254,7 +249,7 @@ def cmd_verify(args) -> int:
             outcome = _SUITES[name](fam, inst, budget)
             outcome["suite"] = name
             outcome["skipped"] = False
-        except (oracle.BudgetExceeded, pg.TooLarge) as exc:
+        except pg.TooLarge as exc:
             if not all_mode:
                 raise
             outcome = {
@@ -395,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated from {', '.join(SUITE_NAMES)}, or all",
     )
     p.add_argument("--expansion-max-n", type=int, default=24)
-    p.add_argument("--point-cap", type=int, default=oracle.DEFAULT_POINT_CAP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="compare two instances combinatorially")
@@ -426,7 +420,7 @@ def main(argv=None) -> int:
     except (CLIError, InvalidTheta, UnsupportedDimension) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (oracle.BudgetExceeded, pg.TooLarge) as exc:
+    except pg.TooLarge as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except AssertionError as exc:

@@ -41,16 +41,21 @@ def _token_blocks(text: str, expected_header: str):
         end = lines.index("end")
     except ValueError as exc:
         raise FormatError("missing begin/end") from exc
-    counts = lines[begin + 1].split()
-    if len(counts) < 2:
-        raise FormatError("malformed size line")
-    m, cols = int(counts[0]), int(counts[1])
+    if end < begin:
+        raise FormatError("end before begin")
+    try:
+        m, cols = map(int, lines[begin + 1].split()[:2])
+    except ValueError as exc:  # also fewer than two entries
+        raise FormatError(f"malformed size line {lines[begin + 1]!r}") from exc
     rows = []
     for ln in lines[begin + 2 : end]:
         toks = ln.split()
         if len(toks) != cols:
             raise FormatError(f"expected {cols} entries per row, got {len(toks)}")
-        rows.append([Fraction(t) for t in toks])
+        try:
+            rows.append([Fraction(t) for t in toks])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"not a number in row {ln!r}") from exc
     if len(rows) != m:
         raise FormatError(f"expected {m} rows, got {len(rows)}")
     return rows

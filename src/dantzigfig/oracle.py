@@ -1,11 +1,13 @@
 """Ground truth independent of the closed-form constructions.
 
-Two oracles: (1) direct enumeration of the lattice initial segment inside
-the simplex sum(x) <= b, with membership decided by two separate routes
-that are cross-checked point by point; (2) vertex enumeration of an HRep
-by double description (Motzkin et al. 1953; Fukuda & Prodon 1996) in exact
-integer arithmetic. Both read only theta or the numeric rows, never a
-closed form, so they catch errors in the clever code.
+Two oracles: (1) the lattice initial segment as O(d) lattice polytopes
+whose O(d^2) vertices are read off theta and the order alone, each vertex
+a segment member by two separate membership routes that are cross-checked;
+(2) vertex enumeration of an HRep by double description (Motzkin et al.
+1953; Fukuda & Prodon 1996) in exact integer arithmetic. Both read only
+theta or the numeric rows, never a closed form, so they catch errors in the
+clever code. Direct enumeration of the segment (enumerate_segment) is the
+tests' referee for the pieces.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import comb, gcd
 from .exactmath import adjugate, bareiss_echelon, primitive_row, rank_of_rows
 from .orders import OrderKind, is_initial_segment_member
 from .polytope_core import CheckFailed, HRep, IncidenceMatrix, VRep, check_theta_entries
-from .polytope_core import facet_spans_ridge
+from .polytope_core import UnsupportedDimension, facet_spans_ridge
 
 
 class BudgetExceeded(RuntimeError):
@@ -78,15 +80,29 @@ def _simplex_points(d: int, budget: int):
     )
 
 
+def _member(kind: OrderKind, x: tuple[int, ...], theta: tuple[int, ...]) -> bool:
+    """Whether the nonnegative integer vector x (of theta's length) is in the
+    segment, decided twice: once by the graded comparator and once by the
+    degree/lex decomposition (sum < b, or sum = b with the lex tiebreak in
+    the direction the order dictates). Raises CheckFailed unless the two
+    verdicts agree."""
+    direct = is_initial_segment_member(kind, x, theta)
+    s, b = sum(x), sum(theta)
+    # at s == b the lex tiebreak: grlex keeps x <= theta, grevlex x >= theta
+    tie = x[::-1] <= theta[::-1] if kind is OrderKind.GRLEX else x[::-1] >= theta[::-1]
+    if direct != (s < b or s == b and tie):
+        raise CheckFailed(f"membership routes disagree at {x}")
+    return direct
+
+
 def enumerate_segment(
     kind: OrderKind, theta, point_cap: int = DEFAULT_POINT_CAP
 ) -> LatticeSegment:
     """Enumerate the initial segment up to theta, in colex point order.
 
-    Membership is decided twice per candidate: once by the graded
-    comparator and once by the degree/lex decomposition (sum < b, or
-    sum = b with the lex tiebreak in the direction the order dictates).
-    The two verdicts must agree, else CheckFailed. Raises InvalidTheta
+    Every lattice point of the simplex sum(x) <= b is a candidate, decided by
+    both membership routes (_member). This walk is the tests' referee for
+    segment_pieces; the verify path never enumerates. Raises InvalidTheta
     unless every entry is an int >= 1 (any d is enumerated), and
     BudgetExceeded when the enclosing simplex holds more than point_cap
     lattice points.
@@ -99,17 +115,61 @@ def enumerate_segment(
         raise BudgetExceeded(
             f"simplex holds {simplex_size} points, cap is {point_cap}"
         )
-    grlex, rtheta = kind is OrderKind.GRLEX, theta[::-1]
-    keep = []
-    for x in _simplex_points(d, b):
-        direct = is_initial_segment_member(kind, x, theta)
-        # at s == b the lex tiebreak: grlex keeps x <= theta, grevlex x >= theta
-        split = sum(x) < b or (x[::-1] <= rtheta if grlex else x[::-1] >= rtheta)
-        if direct != split:
-            raise CheckFailed(f"membership routes disagree at {x}")
-        if direct:
-            keep.append(x)
+    keep = [x for x in _simplex_points(d, b) if _member(kind, x, theta)]
     return LatticeSegment(kind=kind, theta=theta, points=tuple(keep))
+
+
+def _slice_corners(k: int, total: int, tail: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # the vertices total·e_i (i < k) of {y in Z^k : y >= 0, sum(y) = total}, then tail
+    return [(0,) * i + (total,) + (0,) * (k - 1 - i) + tail for i in range(k)]
+
+
+def segment_pieces(
+    kind: OrderKind, theta
+) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], int]:
+    """The initial segment as lattice polytopes: (the vertices of each, size).
+
+    Coordinates are 1-indexed, the last is most significant, and
+    s_k = theta_1 + ... + theta_k. A point of degree below b = s_d is in the
+    segment, and a point of degree b other than theta first differs from
+    theta at some coordinate k >= 2, counted from the top. So the segment is
+    the disjoint union of the lattice points of
+      - (b-1)Δ, with vertices 0 and (b-1)e_i;
+      - theta itself;
+      - for k = 2..d, Q_k = {x >= 0 : x_j = theta_j for j > k,
+        x_1 + ... + x_k = s_k, lo <= x_k <= hi}, with lo, hi = 0, theta_k - 1
+        for grlex and theta_k + 1, s_k for grevlex. Its vertices are the
+        points with x_k at lo or hi and s_k - x_k on one of x_1..x_{k-1}.
+    Every piece vertex is an integer point of its piece, so the hull of the
+    segment is the hull of the piece vertices. The size counts the points:
+    C(b-1+d, d) + 1 + sum over k and x_k = lo..hi of C(s_k-x_k+k-2, k-2).
+    Reads only theta and the order. Raises ValueError for an order that is
+    not graded, InvalidTheta unless every entry is an int >= 1, and
+    UnsupportedDimension for d = 0.
+    """
+    theta = tuple(theta)
+    check_theta_entries(theta)
+    if kind not in (OrderKind.GRLEX, OrderKind.GREVLEX):
+        raise ValueError(f"not a graded order: {kind}")
+    if not theta:
+        raise UnsupportedDimension("d = 0: the segment is the single point ()")
+    d, b = len(theta), sum(theta)
+    pieces = [
+        tuple(dict.fromkeys([(0,) * d] + _slice_corners(d, b - 1, ()))),
+        (theta,),
+    ]
+    size = comb(b - 1 + d, d) + 1
+    s = theta[0]
+    for k in range(2, d + 1):
+        t = theta[k - 1]
+        s += t
+        lo, hi = (0, t - 1) if kind is OrderKind.GRLEX else (t + 1, s)
+        corners = [
+            x for xk in (lo, hi) for x in _slice_corners(k - 1, s - xk, (xk,) + theta[k:])
+        ]
+        pieces.append(tuple(dict.fromkeys(corners)))
+        size += sum(comb(s - xk + k - 2, k - 2) for xk in range(lo, hi + 1))
+    return tuple(pieces), size
 
 
 class BasisVertexSet:
@@ -218,25 +278,35 @@ def hull_vertices_by_basis(h: HRep) -> BasisVertexSet:
     )
 
 
-def verify_hull_equivalence(segment: LatticeSegment, h: HRep, v: VRep) -> dict:
-    """Cross-checks tying the lattice segment, the HRep, and the VRep.
+def verify_hull_equivalence(kind: OrderKind, theta, h: HRep, v: VRep) -> dict:
+    """Cross-checks tying the initial segment of theta, the HRep, and the VRep.
 
-    (a) every segment point satisfies the inequalities; (b) vertex
-    enumeration of the HRep yields exactly the VRep coordinates; (c) every
-    VRep coordinate is a segment point; (d) every vertex has a rank-d
-    tight subsystem. Returns per-check booleans plus overall "pass".
+    (a) every piece vertex of segment_pieces is a segment member by both
+    routes and satisfies the inequalities, so by convexity every segment
+    point does; (b) vertex enumeration of the HRep yields exactly the VRep
+    coordinates; (c) every VRep coordinate is a piece vertex and a segment
+    member by both routes; (d) every vertex has a rank-d tight subsystem.
+    Returns per-check booleans, overall "pass" and "segment_points", the
+    size of the segment.
     """
+    theta = tuple(theta)
+    pieces, size = segment_pieces(kind, theta)
+    corners = {x for piece in pieces for x in piece}
     basis = hull_vertices_by_basis(h)
     report = {
-        "segment_in_hrep": h.contains_all(segment.points),
+        "segment_in_hrep": all(_member(kind, x, theta) for x in corners)
+        and h.contains_all(corners),
         "basis_equals_closed_form": basis.coordinate_set() == v.coordinate_set(),
-        "vertices_in_segment": all(coords in segment for _, coords in v),
+        "vertices_in_segment": all(
+            coords in corners and _member(kind, coords, theta) for _, coords in v
+        ),
         "vertex_certificates": all(
             rank_of_rows([h.normals[i] for i in rows]) == h.dim
             for rows in basis.tight_rows
         ),
     }
     report["pass"] = all(report.values())
+    report["segment_points"] = size
     return report
 
 

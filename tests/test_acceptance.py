@@ -8,12 +8,13 @@ its own wall-clock cap, so a slow pass is reported as a failure.
 Random draws use fixed seeds: reruns exercise identical instances.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
 from operator import mul
 
-from dantzigfig import FAMILIES
+from dantzigfig import FAMILIES, cli
 from dantzigfig.polytope_core import (
     VertexLabel,
     adjacency_from_incidence,
@@ -143,15 +144,28 @@ def test_c03_facet_matrix_inverses(capsys):
 
 
 def test_c04_hull_equivalence_matrix(capsys):
+    # the piece-vertex oracle on the matrix, refereed by the enumerated
+    # segment; then the CLI oracle suite at d = 30, far past enumeration
     cap, started, ok = 60.0, time.perf_counter(), False
+    frontier_cap = 10.0
     try:
         for family, theta in HULL_MATRIX:
             assert sum(theta) <= 25
             fam = FAMILIES[family]
             inst = fam.make(theta)
-            segment = enumerate_segment(fam.kind, theta)
-            report = verify_hull_equivalence(segment, fam.hrep(inst), fam.vertices(inst))
+            h = fam.hrep(inst)
+            report = verify_hull_equivalence(fam.kind, theta, h, fam.vertices(inst))
             assert report["pass"], (family, theta, report)
+            segment = enumerate_segment(fam.kind, theta)
+            assert report["segment_points"] == len(segment), (family, theta)
+            assert h.contains_all(segment.points), (family, theta)
+        frontier_started = time.perf_counter()
+        theta = ",".join(map(str, (3, 3, 3) + (2,) * 27))
+        for family in FAMILIES:
+            code = cli.main(["verify", "--family", family, "--theta", theta, "--suites", "oracle"])
+            (suite,) = json.loads(capsys.readouterr().out)["suites"]
+            assert code == cli.EXIT_OK and suite["passed"], (family, suite)
+        assert time.perf_counter() - frontier_started < frontier_cap
         assert time.perf_counter() - started < cap
         ok = True
     finally:

@@ -121,25 +121,20 @@ def test_verify_subset_of_suites(capsys):
 
 
 def test_verify_all_mode_skips_over_budget(capsys):
+    # the oracle no longer enumerates the segment, so only expansion is skipped
     code, out, _ = run(
         capsys, "verify", "--family", "grlex", "--theta", "4,4,4,4,4,4",
-        "--point-cap", "1000", "--expansion-max-n", "10",
+        "--expansion-max-n", "10",
     )
     assert code == 0
     report = json.loads(out)
     by_name = {s["suite"]: s for s in report["suites"]}
-    assert by_name["oracle"]["skipped"] is True
+    assert by_name["oracle"]["skipped"] is False
+    assert by_name["oracle"]["passed"] is True
+    assert by_name["oracle"]["details"]["segment_points"] == 546991
     assert by_name["expansion"]["skipped"] is True
     assert by_name["vertices"]["skipped"] is False
     assert report["passed"] is True
-
-
-def test_verify_explicit_over_budget_suite_exits_3(capsys):
-    code, _, err = run(
-        capsys, "verify", "--family", "grlex", "--theta", "2,2,2",
-        "--suites", "oracle", "--point-cap", "10",
-    )
-    assert code == 3 and "budget" in err
 
 
 def test_verify_explicit_expansion_too_large_exits_3(capsys):

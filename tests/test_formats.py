@@ -65,6 +65,19 @@ def test_parse_ine_errors():
         parse_ine("H-representation\nbegin\n 1 3 rational\n 0 1\nend\n")
     with pytest.raises(FormatError):
         parse_ine("H-representation\nbegin\n 2 3 rational\n 0 1 0\nend\n")
+    # end before begin, a size line that is not integers, an entry that is
+    # not a number
+    for bad in (
+        "H-representation\nend\nbegin\n",
+        "H-representation\nbegin\n 1.5 2 rational\n 0 1\nend\n",
+        "H-representation\nbegin\n one 2 rational\n 0 1\nend\n",
+        "H-representation\nbegin\n 1 2 rational\n 0 x\nend\n",
+        "H-representation\nbegin\n 1 2 rational\n 1/0 1\nend\n",
+    ):
+        with pytest.raises(FormatError):
+            parse_ine(bad)
+        with pytest.raises(FormatError):
+            parse_ext(bad.replace("H-", "V-"))
 
 
 def test_ext_round_trip():

@@ -351,10 +351,11 @@ def test_antipodal_census():
 def test_expansion_reported_values():
     # exhaustively computed; no closed form is claimed for these, but the
     # value depends on d only: every theta in {1,2,3}^d at d = 3, 4 and a
-    # seeded sample of 40 of the 243 at d = 5
-    expected = {3: Fraction(4, 3), 4: Fraction(7, 4), 5: Fraction(15, 8)}
+    # seeded sample of 40 at d = 5 (of 243) and d = 6 (of 729)
+    expected = {3: Fraction(4, 3), 4: Fraction(7, 4), 5: Fraction(15, 8), 6: Fraction(2)}
     thetas = {d: list(product((1, 2, 3), repeat=d)) for d in expected}
     thetas[5] = random.Random(5).sample(thetas[5], 40)
+    thetas[6] = random.Random(6).sample(thetas[6], 40)
     for d, value in expected.items():
         for theta in thetas[d]:
             g = grevlex_graph(make_grevlex(theta))

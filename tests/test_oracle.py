@@ -1,4 +1,4 @@
-"""Independent enumeration oracles: lattice segments and the vertex oracle.
+"""Independent oracles: lattice segments, their pieces and the vertex oracle.
 
 Segment sizes below were frozen from runs of this module and are kept as
 regression pins. enumerate_segment decides every candidate twice, by the
@@ -6,8 +6,11 @@ order's sort key and by the degree/lex split, and raises CheckFailed when
 the two disagree; a test flips one verdict of the first route to keep that
 check live, and the recursive generator the line-at-a-time simplex walk
 replaced is kept as its referee. Segment membership is a bisection on the
-colex order, checked against the point set. The batch containment of check
-(a) is refereed in test_polytope_core_random.py. The double-description vertex
+colex order, checked against the point set. The enumerated segment is in
+turn the referee of segment_pieces, which the verify path uses: the lattice
+points of the pieces, read off their vertices, must equal it point for
+point. The batch containment of check (a) is refereed in
+test_polytope_core_random.py. The double-description vertex
 oracle is refereed by a naive basis scan, which is only fast enough for
 d <= 7. Facet irredundancy, decided from one double-description run, is
 refereed by the row-drop rerun: drop each row and compare the vertex sets.
@@ -15,7 +18,7 @@ refereed by the row-drop rerun: drop each row and compare the vertex sets.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, lcm
 
 import pytest
@@ -33,10 +36,17 @@ from dantzigfig.oracle import (
     enumerate_segment,
     facet_irredundancy,
     hull_vertices_by_basis,
+    segment_pieces,
     verify_hull_equivalence,
 )
 from dantzigfig.orders import OrderKind
-from dantzigfig.polytope_core import CheckFailed, HRep, InvalidTheta, VRep
+from dantzigfig.polytope_core import (
+    CheckFailed,
+    HRep,
+    InvalidTheta,
+    UnsupportedDimension,
+    VRep,
+)
 from dantzigfig.grlex_family import grlex_hrep, grlex_vertices, make_grlex
 from dantzigfig.grevlex_family import (
     grevlex_hrep,
@@ -157,11 +167,10 @@ def test_segment_in_dimensions_0_to_2(kind, theta, points):
 
 def test_vertices_in_segment_rejects_negative_and_wrong_length():
     inst = make_grlex((2, 2, 2))
-    seg = enumerate_segment(OrderKind.GRLEX, (2, 2, 2))
     h = grlex_hrep(inst)
-    for bad in [(-1, 0, 0), (0, 0), (0, 0, 0, 0), (0, 0, 7)]:
+    for bad in [(-1, 0, 0), (0, 0), (0, 0, 0, 0), (0, 0, 7), (1, 1, 1)]:
         v = VRep(list(grlex_vertices(inst)) + [("bad", bad)])
-        report = verify_hull_equivalence(seg, h, v)
+        report = verify_hull_equivalence(OrderKind.GRLEX, (2, 2, 2), h, v)
         assert report["vertices_in_segment"] is False
         assert report["pass"] is False
 
@@ -209,6 +218,136 @@ def test_segment_rejects_invalid_theta(theta):
     # coercing these would enumerate the segment of another theta
     with pytest.raises(InvalidTheta):
         enumerate_segment(OrderKind.GRLEX, theta)
+    with pytest.raises(InvalidTheta):
+        segment_pieces(OrderKind.GRLEX, theta)
+
+
+# ----------------------------------------------------- segment pieces
+
+
+def slice_vertices(tail, m, total, lo, hi):
+    """Vertices of {x >= 0 : x_j = tail for j > m, x_1 + ... + x_m = total,
+    lo <= x_m <= hi}: x_m at lo or hi and the rest of total on one of
+    x_1..x_{m-1} (1-indexed)."""
+    return {
+        tuple((total - xm) * (i == c) for c in range(m - 1)) + (xm,) + tail
+        for xm in (lo, hi)
+        for i in range(m - 1)
+    }
+
+
+def piece_points(piece):
+    """The lattice points of conv(piece), read off its vertices alone.
+
+    A piece with vertex sums that differ must be a simplex conv{0, r e_i};
+    its points are all x >= 0 with sum(x) <= r. Otherwise the vertices share
+    the coordinates above the last one m at which they differ, share the sum
+    of x_1..x_m, and must be exactly the vertices of the slice where x_m
+    runs over their range; its points are enumerated.
+    """
+    d = len(piece[0])
+    if len({sum(x) for x in piece}) > 1:
+        r = max(map(sum, piece))
+        corners = {tuple(r * (i == c) for c in range(d)) for i in range(d)}
+        assert set(piece) == {(0,) * d} | corners
+        return list(_simplex_points(d, r))
+    varying = [c for c in range(d) if len({x[c] for x in piece}) > 1]
+    if not varying:
+        assert len(piece) == 1
+        return list(piece)
+    m = varying[-1] + 1
+    tail, total = piece[0][m:], sum(piece[0][:m])
+    lo, hi = min(x[m - 1] for x in piece), max(x[m - 1] for x in piece)
+    assert set(piece) == slice_vertices(tail, m, total, lo, hi)
+    return [
+        head + (xm,) + tail
+        for xm in range(lo, hi + 1)
+        for head in _simplex_points(m - 1, total - xm)
+        if sum(head) == total - xm
+    ]
+
+
+def assert_pieces_match_enumeration(kind, theta):
+    pieces, size = segment_pieces(kind, theta)
+    points = sorted(x for piece in pieces for x in piece_points(piece))
+    expected = sorted(enumerate_segment(kind, theta).points)
+    assert points == expected, (kind, theta)  # disjoint pieces, no point missed
+    assert size == len(expected), (kind, theta)
+    assert all(oracle._member(kind, x, theta) for piece in pieces for x in piece)
+
+
+# every theta in {1,2,3}^d for d = 1..5, and seeded draws at d = 6, 7
+PIECE_THETAS = [t for d in range(1, 6) for t in product((1, 2, 3), repeat=d)]
+PIECE_DRAWS = [
+    tuple(random.Random(600 + i).randint(1, hi) for _ in range(d))
+    for d, hi in ((6, 3), (7, 2))
+    for i in range(4)
+]
+
+
+CONSTRUCTIONS = {
+    OrderKind.GRLEX: (make_grlex, grlex_hrep, grlex_vertices),
+    OrderKind.GREVLEX: (make_grevlex, grevlex_hrep, grevlex_vertices),
+}
+
+
+@pytest.mark.parametrize("kind", [OrderKind.GRLEX, OrderKind.GREVLEX])
+def test_segment_pieces_match_enumeration(kind):
+    make, _, vertices = CONSTRUCTIONS[kind]
+    for theta in PIECE_THETAS + PIECE_DRAWS:
+        assert_pieces_match_enumeration(kind, theta)
+        if len(theta) >= 3:
+            corners = {x for piece in segment_pieces(kind, theta)[0] for x in piece}
+            assert vertices(make(theta)).coordinate_set() <= corners, theta
+
+
+def test_segment_pieces_grevlex_example():
+    pieces, size = segment_pieces(OrderKind.GREVLEX, (2, 1, 3))
+    assert pieces == (
+        ((0, 0, 0), (5, 0, 0), (0, 5, 0), (0, 0, 5)),  # 5Δ
+        ((2, 1, 3),),  # theta
+        ((1, 2, 3), (0, 3, 3)),  # Q_2: x_2 from 2 to s_2 = 3
+        ((2, 0, 4), (0, 2, 4), (0, 0, 6)),  # Q_3: x_3 from 4 to s_3 = 6
+    )
+    assert size == 56 + 1 + 2 + (3 + 2 + 1)
+
+
+def test_segment_pieces_refuse_d0_and_lex():
+    with pytest.raises(UnsupportedDimension):
+        segment_pieces(OrderKind.GRLEX, ())
+    with pytest.raises(ValueError, match="not a graded order"):
+        segment_pieces(OrderKind.LEX, (1, 2))
+
+
+@pytest.mark.parametrize("kind", [OrderKind.GRLEX, OrderKind.GREVLEX])
+def test_verify_hull_equivalence_never_enumerates(monkeypatch, kind):
+    def refuse(*args):
+        raise AssertionError("the verify path enumerated lattice points")
+
+    monkeypatch.setattr(oracle, "_simplex_points", refuse)
+    monkeypatch.setattr(oracle, "enumerate_segment", refuse)
+    theta = (3, 3, 3) + (2,) * 17
+    make, hrep, vertices = CONSTRUCTIONS[kind]
+    inst = make(theta)
+    report = verify_hull_equivalence(kind, theta, hrep(inst), vertices(inst))
+    assert report["pass"], report
+    assert report["segment_points"] > 10**12
+
+
+@pytest.mark.parametrize("kind", [OrderKind.GRLEX, OrderKind.GREVLEX])
+def test_verify_hull_equivalence_runs_both_routes(monkeypatch, kind):
+    # a flipped verdict of the comparator at any piece vertex raises
+    member = oracle.is_initial_segment_member
+    make, hrep, vertices = CONSTRUCTIONS[kind]
+    inst = make((2, 2, 2))
+    for flip in {x for piece in segment_pieces(kind, (2, 2, 2))[0] for x in piece}:
+        monkeypatch.setattr(
+            oracle,
+            "is_initial_segment_member",
+            lambda kind, x, theta: member(kind, x, theta) != (x == flip),
+        )
+        with pytest.raises(CheckFailed, match="disagree"):
+            verify_hull_equivalence(kind, (2, 2, 2), hrep(inst), vertices(inst))
 
 
 # ------------------------------------------------------ vertex oracle
@@ -428,35 +567,37 @@ def test_dd_matches_referee_family_sweep(d):
 @pytest.mark.parametrize("theta", [(2, 2, 2), (1, 2, 3), (3, 1, 2)])
 def test_hull_equivalence_grlex(theta):
     inst = make_grlex(theta)
-    seg = enumerate_segment(OrderKind.GRLEX, theta)
-    report = verify_hull_equivalence(seg, grlex_hrep(inst), grlex_vertices(inst))
+    report = verify_hull_equivalence(
+        OrderKind.GRLEX, theta, grlex_hrep(inst), grlex_vertices(inst)
+    )
     assert report["pass"], report
+    assert report["segment_points"] == len(enumerate_segment(OrderKind.GRLEX, theta))
 
 
 @pytest.mark.parametrize("theta", [(2, 2, 2), (1, 1, 1), (2, 1, 3, 1)])
 def test_hull_equivalence_grevlex(theta):
     inst = make_grevlex(theta)
-    seg = enumerate_segment(OrderKind.GREVLEX, theta)
     report = verify_hull_equivalence(
-        seg, grevlex_hrep(inst), grevlex_vertices(inst)
+        OrderKind.GREVLEX, theta, grevlex_hrep(inst), grevlex_vertices(inst)
     )
     assert report["pass"], report
+    assert report["segment_points"] == len(enumerate_segment(OrderKind.GREVLEX, theta))
 
 
 def test_hull_equivalence_detects_mismatch():
     # feeding the grevlex segment to the grlex hull must fail check (a)
     inst = make_grlex((2, 2, 2))
-    seg = enumerate_segment(OrderKind.GREVLEX, (2, 2, 2))
-    report = verify_hull_equivalence(seg, grlex_hrep(inst), grlex_vertices(inst))
+    report = verify_hull_equivalence(
+        OrderKind.GREVLEX, (2, 2, 2), grlex_hrep(inst), grlex_vertices(inst)
+    )
     assert not report["segment_in_hrep"]
     assert not report["pass"]
 
 
 def test_hull_equivalence_detects_wrong_vrep():
     h = unit_square_h()
-    seg_like = enumerate_segment(OrderKind.GRLEX, (1, 1))
     bad_v = VRep([("a", (0, 0)), ("b", (1, 0)), ("c", (0, 1)), ("d", (2, 2))])
-    report = verify_hull_equivalence(seg_like, h, bad_v)
+    report = verify_hull_equivalence(OrderKind.GRLEX, (1, 1), h, bad_v)
     assert not report["basis_equals_closed_form"]
     assert not report["pass"]
 
