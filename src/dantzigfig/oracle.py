@@ -12,7 +12,6 @@ tests' referee for the pieces.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -54,11 +53,6 @@ class LatticeSegment:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __contains__(self, x) -> bool:
-        # bisect on the colex order: the reversed coordinates ascend
-        i = bisect_left(self.points, tuple(x)[::-1], key=lambda p: p[::-1])
-        return self.points[i : i + 1] == (tuple(x),)
 
 
 def _lines(k: int, budget: int):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from itertools import islice
-from math import floor, lcm
+from math import floor, gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
@@ -197,9 +197,9 @@ class HRep:
     """Inequality system A·x <= beta with primitive integer normals.
 
     Rows are stored as (normal tuple, rhs); construction rescales each row
-    by a positive rational so the normal is integral with gcd 1. The rhs is
-    then an int when integral, else a Fraction. ``ids`` optionally names
-    each facet.
+    by a positive rational so the normal is integral with gcd 1 (a row of
+    ints is divided by its gcd, with no Fraction). The rhs is then an int
+    when integral, else a Fraction. ``ids`` optionally names each facet.
     """
 
     __slots__ = ("normals", "rhs", "ids", "dim")
@@ -213,6 +213,13 @@ class HRep:
         normals: list[tuple[int, ...]] = []
         rhs: list[int | Fraction] = []
         for normal, beta in rows:
+            if type(beta) is int and all(type(a) is int for a in normal):
+                g = gcd(*normal)
+                if g == 0:
+                    raise ValueError("zero row has no primitive form")
+                normals.append(tuple(a // g for a in normal))
+                rhs.append(beta // g if beta % g == 0 else Fraction(beta, g))
+                continue
             prim = primitive_row(normal)  # ValueError for a zero normal
             # the factor is positive because primitive_row only rescales
             factor = next(Fraction(p) / a for p, a in zip(prim, normal) if a)

@@ -231,6 +231,12 @@ def edge_expansion_exact(graph: PolytopeGraph, max_vertices: int = 24) -> Expans
     it can still reach; a node that only ties the best ratio is kept while
     a tying cut below it could still have an equal or smaller one.
 
+    The first incumbent is greedy: from each vertex, grow a cut by the
+    vertex that adds the fewest cut edges, and keep the best ratio seen
+    with |S| <= n/2. It is offered exactly as a leaf is, so the tie rule
+    still reaches every cut of least ratio and least min(|S|, n - |S|),
+    and the witness does not depend on it.
+
     Among the cuts of least ratio, the witness is the one with the least
     min(|S|, n - |S|), then the lexicographically smallest sorted tuple
     of str(label), vertex index breaking ties between equal strings. Both
@@ -263,24 +269,42 @@ def edge_expansion_exact(graph: PolytopeGraph, max_vertices: int = 24) -> Expans
     rank = {v: pos for pos, v in enumerate(order)}
     later = [[u for u in _bits(adj[v]) if rank[u] > rank[v]] for v in range(n)]
 
+    best = [adj[0].bit_count(), 1, side_key(1)]  # cut, eff, key; S = {0}
+
+    def offer(inside: int, cut: int) -> None:
+        # inside holds vertex 0; keep it if it beats the best cut
+        best_cut, best_eff, best_key = best
+        size = inside.bit_count()
+        eff = min(size, n - size)
+        if eff == 0:
+            return
+        lhs, rhs = cut * best_eff, best_cut * eff
+        if lhs < rhs or (lhs == rhs and eff <= best_eff):
+            key = side_key(inside)
+            if lhs < rhs or eff < best_eff or key < best_key:
+                best[:] = cut, eff, key
+
+    degrees = [m.bit_count() for m in adj]
+    taken = n * n  # above any gain of a vertex outside S
+    for start in range(n):
+        gain = degrees.copy()  # the change of the cut if the vertex joins S
+        s, cut, v = 0, 0, start
+        for _ in range(n // 2):
+            s, cut, gain[v] = s | 1 << v, cut + gain[v], taken
+            offer(s if s & 1 else full & ~s, cut)  # anchored, as at a leaf
+            for u in _bits(adj[v]):
+                gain[u] -= 2
+            v = min(range(n), key=gain.__getitem__)
+
     to_in = [adj[v] & 1 for v in range(n)]  # edges into the decided in-side
     to_out = [0] * n  # edges into the decided out-side
-    best = [adj[0].bit_count(), 1, side_key(1)]  # cut, eff, key; S = {0}
 
     def search(pos: int, inside: int, cut: int, slack: int) -> None:
         # cut joins the decided sides; slack is what the undecided add at least
-        best_cut, best_eff, best_key = best
         if pos == n:
-            size = inside.bit_count()
-            eff = min(size, n - size)
-            if eff == 0:
-                return
-            lhs, rhs = cut * best_eff, best_cut * eff
-            if lhs < rhs or (lhs == rhs and eff <= best_eff):
-                key = side_key(inside)
-                if lhs < rhs or eff < best_eff or key < best_key:
-                    best[:] = cut, eff, key
+            offer(inside, cut)
             return
+        best_cut, best_eff, _ = best
         low = inside.bit_count()
         high = min(low + n - pos, n - 1)  # |S| = n leaves no cut
         near = min(max(n // 2, low), high)

@@ -1,12 +1,20 @@
 """Command-line interface: exit codes, output formats, report schemas."""
 
+import gc
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dantzigfig import cli
 from dantzigfig.formats import parse_ext, parse_ine
 from dantzigfig.grlex_family import grlex_hrep, grlex_vertices, make_grlex
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -354,30 +362,87 @@ def test_help_exits_0(capsys):
     assert code == 0 and "construct" in out
 
 
-def test_console_entry_point_is_main():
-    from pathlib import Path
+# ------------------------------------------------------- process entry
 
-    root = Path(__file__).resolve().parents[1]
-    text = (root / "pyproject.toml").read_text()
-    assert 'dantzigfig = "dantzigfig.cli:main"' in text
+
+def checkout_env():
+    # as the benchmark runs the CLI: the checkout's sources on PYTHONPATH
+    # and no other PYTHON* setting
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return env
+
+
+def run_python(*args):
+    done = subprocess.run(
+        [sys.executable, *args], env=checkout_env(), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_console_entry_point_is_run():
+    text = (ROOT / "pyproject.toml").read_text()
+    assert 'dantzigfig = "dantzigfig.cli:run"' in text
+
+
+def test_run_freezes_then_exits_with_the_code_of_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or cli.EXIT_BUDGET)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == cli.EXIT_BUDGET
+    assert calls == ["freeze", "main"]
+
+
+def test_import_and_main_leave_the_collector_alone(capsys):
+    script = (
+        "import gc; before = gc.get_freeze_count(), gc.isenabled(); "
+        "import dantzigfig.cli; print(before == (gc.get_freeze_count(), gc.isenabled()))"
+    )
+    assert run_python("-c", script).stdout == "True\n"
+    before = gc.get_freeze_count(), gc.isenabled()
+    code, _, _ = run(capsys, "verify", "--family", "grlex", "--theta", "2,2,2")
+    assert code == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_module_run_as_main_freezes_the_heap():
+    script = (
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr)); "
+        "sys.argv = ['dantzigfig', 'construct', '--family', 'grlex', '--theta', '2,2,2']; "
+        "runpy.run_module('dantzigfig.cli', run_name='__main__')"
+    )
+    frozen = run_python("-c", script).stderr.split()
+    assert frozen[0] == "frozen" and int(frozen[1]) > 0
+
+
+SECONDS_LINE = re.compile(r'^ *"seconds": .*\n', re.MULTILINE)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ("construct", "--format", "json"),
+        ("graph", "--format", "json"),
+        ("verify", "--suites", "all"),
+    ],
+)
+@pytest.mark.parametrize("family,theta", [("grlex", "2,3,1,2,1"), ("grevlex", "2,2,2,2")])
+def test_module_output_matches_in_process_main(capsys, family, theta, options):
+    command, *rest = options
+    argv = (command, "--family", family, "--theta", theta, *rest)
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    out = run_python("-m", "dantzigfig.cli", *argv).stdout
+    assert SECONDS_LINE.sub("", out) == SECONDS_LINE.sub("", expected)
 
 
 def test_import_pulls_in_no_introspection_modules():
     # Every CLI call pays for its imports; dataclasses alone would bring
-    # inspect, ast, dis and tokenize. Run as the benchmark runs the CLI:
-    # the checkout's sources on PYTHONPATH and no other PYTHON* setting.
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(src)
+    # inspect, ast, dis and tokenize.
     heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
     script = f"import sys, dantzigfig.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    run = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    assert run_python("-c", script).stdout.strip() == "[]"

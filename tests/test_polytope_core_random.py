@@ -11,13 +11,15 @@ against the rank of each row's vertex differences, on these polytopes,
 on lower-dimensional ones and on both families. `dantzig_hrep` is
 checked on the tangent cones of two simplicial vertices against rows
 solved by Cramer's rule with Leibniz determinants. The packed batch test
-`HRep.contains_all` is checked against `contains` point by point.
+`HRep.contains_all` is checked against `contains` point by point. The
+integer row scaling of `HRep` is checked against the Fraction route on
+random int and rational rows.
 """
 
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -393,3 +395,51 @@ def test_contains_all_wide_fields():
     assert h.contains_all(diagonal)
     assert not h.contains_all(diagonal + [(top, top - 1)])
     assert h.contains_all(diagonal + [(top - 1, top)])
+
+
+# ------------------------------------------------------- row scaling
+
+
+def fraction_route_row(normal, beta):
+    """Scale a row by a positive rational to a primitive integer normal,
+    in Fractions throughout; the rhs is an int when integral."""
+    fracs = [Fraction(a) for a in normal]
+    if not any(fracs):
+        raise ValueError("zero row has no primitive form")
+    mult = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * mult) for f in fracs]
+    g = gcd(*ints)
+    beta = Fraction(beta) * mult / g
+    return tuple(v // g for v in ints), beta.numerator if beta.denominator == 1 else beta
+
+
+_int_entry = st.integers(-40, 40)
+_rational_entry = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 5), data=st.data())
+def test_row_scaling_matches_the_fraction_route(d, data):
+    # all-int rows take the gcd route, the others the Fraction route
+    entry = data.draw(
+        st.sampled_from([_int_entry, _rational_entry, st.one_of(_int_entry, _rational_entry)])
+    )
+    normal = tuple(data.draw(st.lists(entry, min_size=d, max_size=d)))
+    beta = data.draw(entry)
+    try:
+        expected = fraction_route_row(normal, beta)
+    except ValueError:
+        with pytest.raises(ValueError, match="zero row"):
+            HRep([(normal, beta)])
+        return
+    h = HRep([(normal, beta)])
+    assert h.rows() == [expected]
+    assert all(type(a) is int for a in h.normals[0])
+    assert type(h.rhs[0]) is (int if Fraction(expected[1]).denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("normal", [(0, 0, 0), (0,), (Fraction(0), 0)])
+def test_zero_normal_raises_on_both_routes(normal):
+    for beta in (0, 3, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="zero row"):
+            HRep([(normal, beta)])

@@ -171,6 +171,19 @@ def test_expansion_half_split_key_comes_from_the_anchor_side():
     assert gray_code_expansion(g) == result
 
 
+def test_expansion_greedy_incumbent_is_keyed_from_the_anchor_side():
+    # two triangles x-y-z and a-b-c joined by z-a: the best cut splits them
+    # in halves, and the greedy cut grown from "a" is {a, b, c}; its key
+    # must come from the half holding vertex 0 ("x"), as at a leaf
+    g = PolytopeGraph.from_edges(
+        ["x", "y", "z", "a", "b", "c"],
+        [("x", "y"), ("y", "z"), ("x", "z"), ("z", "a"), ("a", "b"), ("b", "c"), ("a", "c")],
+    )
+    result = edge_expansion_exact(g)
+    assert result == ExpansionResult(Fraction(1, 3), ("x", "y", "z"), 1)
+    assert gray_code_expansion(g) == result
+
+
 # ------------------------------------------------ Gray-code referee
 
 
