@@ -4,18 +4,13 @@ Exit codes: 0 success, 1 verification failure, 2 bad input, 3 budget
 exceeded. `verify --suites all` skips over-budget suites with a note;
 naming an over-budget suite explicitly exits 3 instead.
 
-Where the time of one call goes (`verify --suites all` at d = 5-6, 2-vCPU
-VM, CPython 3.11): the interpreter floor is 25.4 ms (`python -c pass`),
-about 18 ms of it `site`; importing this module takes 6.3 ms and building
-the parser 1.3 ms; then comes the work, a few ms; then exit. At exit
-CPython runs full collections, which ignore gc.disable(), and each one
-walks every container the imports created: about 3.8 ms of a 40 ms call.
-run(), the process entry, therefore calls gc.freeze() once the imports are
-done. Neither those collections nor a gen-2 collection during the call
-then walks the import-time heap, which lives until exit anyway. The freeze
-sits only at the process entry: main() and `import dantzigfig.cli` leave
-the collector alone, because tests and library callers run main()
-in-process, where a freeze would pin their garbage for good.
+One call spends its time on interpreter start-up (mostly `site`), this
+module's imports, the parser, the work, and exit, where CPython's full
+collections walk every container the imports created. run(), the process
+entry, calls gc.freeze() once the imports are done, so those collections
+skip the import-time heap, which lives until exit anyway. main() and the
+import leave the collector alone: tests and library callers run main()
+in-process, where a freeze would pin their garbage.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from math import floor, gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
-from .exactmath import SingularError, adjugate, primitive_row, rank_of_rows
+from .exactmath import SingularError, adjugate, rank_of_rows
 
 
 class InfeasibleVertex(ValueError):
@@ -197,9 +197,10 @@ class HRep:
     """Inequality system A·x <= beta with primitive integer normals.
 
     Rows are stored as (normal tuple, rhs); construction rescales each row
-    by a positive rational so the normal is integral with gcd 1 (a row of
-    ints is divided by its gcd, with no Fraction). The rhs is then an int
-    when integral, else a Fraction. ``ids`` optionally names each facet.
+    by a positive rational so the normal is integral with gcd 1: the row is
+    put over a common denominator (a row of ints is left as it is) and the
+    normal divided by its gcd. The rhs is then an int when integral, else a
+    Fraction. ``ids`` optionally names each facet.
     """
 
     __slots__ = ("normals", "rhs", "ids", "dim")
@@ -213,19 +214,12 @@ class HRep:
         normals: list[tuple[int, ...]] = []
         rhs: list[int | Fraction] = []
         for normal, beta in rows:
-            if type(beta) is int and all(type(a) is int for a in normal):
-                g = gcd(*normal)
-                if g == 0:
-                    raise ValueError("zero row has no primitive form")
-                normals.append(tuple(a // g for a in normal))
-                rhs.append(beta // g if beta % g == 0 else Fraction(beta, g))
-                continue
-            prim = primitive_row(normal)  # ValueError for a zero normal
-            # the factor is positive because primitive_row only rescales
-            factor = next(Fraction(p) / a for p, a in zip(prim, normal) if a)
-            beta = Fraction(beta) * factor
-            normals.append(prim)
-            rhs.append(beta.numerator if beta.denominator == 1 else beta)
+            *ints, b = _over_common_denominator((*normal, beta))[0]
+            g = gcd(*ints)
+            if g == 0:
+                raise ValueError("zero row has no primitive form")
+            normals.append(tuple(a // g for a in ints))
+            rhs.append(b // g if b % g == 0 else Fraction(b, g))
         self.normals = tuple(normals)
         self.rhs = tuple(rhs)
         if not normals:

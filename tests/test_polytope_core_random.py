@@ -12,8 +12,8 @@ on lower-dimensional ones and on both families. `dantzig_hrep` is
 checked on the tangent cones of two simplicial vertices against rows
 solved by Cramer's rule with Leibniz determinants. The packed batch test
 `HRep.contains_all` is checked against `contains` point by point. The
-integer row scaling of `HRep` is checked against the Fraction route on
-random int and rational rows.
+integer row scaling of `HRep` is checked against a route in Fractions
+throughout on random int and rational rows.
 """
 
 import random
@@ -420,7 +420,7 @@ _rational_entry = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6))
 @settings(max_examples=300, deadline=None)
 @given(d=st.integers(1, 5), data=st.data())
 def test_row_scaling_matches_the_fraction_route(d, data):
-    # all-int rows take the gcd route, the others the Fraction route
+    # int, rational and mixed rows, zero normals included
     entry = data.draw(
         st.sampled_from([_int_entry, _rational_entry, st.one_of(_int_entry, _rational_entry)])
     )
@@ -439,7 +439,7 @@ def test_row_scaling_matches_the_fraction_route(d, data):
 
 
 @pytest.mark.parametrize("normal", [(0, 0, 0), (0,), (Fraction(0), 0)])
-def test_zero_normal_raises_on_both_routes(normal):
+def test_zero_normal_raises_for_int_and_rational_rows(normal):
     for beta in (0, 3, Fraction(1, 2)):
         with pytest.raises(ValueError, match="zero row"):
             HRep([(normal, beta)])
