@@ -5,7 +5,7 @@ For each d up to --exhaustive-to (default 7, n = 29 vertices) this finds
 the exact minimum of |bd(S)|/|S| over all vertex subsets, by the branch
 and bound of `edge_expansion_exact` with its vertex cap lifted, and
 reports it with a witness set. d = 8 (n = 37) is reachable on request:
-`--exhaustive-to 8` gives grevlex h = 17/6 in about 25 s on a 2-vCPU
+`--exhaustive-to 8` gives grevlex h = 17/6 in about 10 s on a 2-vCPU
 Xeon VM, so no test runs it. Past --exhaustive-to the scan checks the
 closed-form witness of each family that has one (grlex, whose ratio is
 always exactly 1).

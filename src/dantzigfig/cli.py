@@ -49,10 +49,24 @@ def _parse_theta(text: str) -> tuple[int, ...]:
         raise CLIError(f"theta must be comma-separated integers: {text!r}") from exc
 
 
+def _nonnegative_int(text: str) -> int:
+    """The --expansion-max-n value: a vertex count, so an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0: {text!r}")
+    return value
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CLIError(f"cannot write --out {out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -245,7 +259,7 @@ def cmd_verify(args) -> int:
     if not requested:
         raise CLIError(f"no suite named in --suites {args.suites!r}")
     all_mode = "all" in requested
-    names = list(SUITE_NAMES) if all_mode else requested
+    names = list(SUITE_NAMES) if all_mode else list(dict.fromkeys(requested))
     bad = [s for s in names if s not in _SUITES]
     if bad:
         raise CLIError(f"unknown suites: {bad}; valid: {SUITE_NAMES} or all")
@@ -398,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help=f"comma-separated from {', '.join(SUITE_NAMES)}, or all",
     )
-    p.add_argument("--expansion-max-n", type=int, default=24)
+    p.add_argument("--expansion-max-n", type=_nonnegative_int, default=24)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="compare two instances combinatorially")
@@ -412,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="emit the polytope graph and its analytics")
     common(p)
     p.add_argument("--format", default="dot", choices=("dot", "json"))
-    p.add_argument("--expansion-max-n", type=int, default=24)
+    p.add_argument("--expansion-max-n", type=_nonnegative_int, default=24)
     p.set_defaults(func=cmd_graph)
 
     return parser

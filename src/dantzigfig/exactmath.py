@@ -11,6 +11,7 @@ input of `primitive_row`. There is no floating point in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -55,15 +56,32 @@ def bareiss_echelon(mat: Sequence[Sequence[int]]) -> tuple[list, list[int], int]
     return m, pivots, sign
 
 
+# Reduced systems whose rank the memo keeps. In a verify call of the frontier
+# suites at d = 40, theta = (3,3,3,2,...,2), this many keep 99.8 % (grlex) and
+# all but one (grevlex) of the hits of an unbounded memo, which holds every
+# distinct system of the call: grevlex peak RSS 37 -> 115 MiB.
+RANK_MEMO_SIZE = 256
+
+
 def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank of a list of integer row vectors. The rows with a single
     nonzero entry (coordinate planes, say) add one per distinct column; that
-    column is dropped from the other rows, and Bareiss elimination ranks them."""
+    column is dropped from the other rows, and Bareiss elimination ranks them.
+    Many systems repeat once reduced, so each distinct reduced system is
+    eliminated once while it stays in the memo (_reduced_rank)."""
     supports = [[c for c, a in enumerate(row) if a] for row in rows]
     units = {s[0] for s in supports if len(s) == 1}
-    rest = [row for row, s in zip(rows, supports) if len(s) != 1]
-    rest = [[a for c, a in enumerate(row) if c not in units] for row in rest]
-    return len(units) + len(bareiss_echelon(rest)[1])
+    rest = tuple([
+        tuple([a for c, a in enumerate(row) if c not in units])
+        for row, s in zip(rows, supports)
+        if len(s) != 1
+    ])
+    return len(units) + _reduced_rank(rest)
+
+
+@lru_cache(maxsize=RANK_MEMO_SIZE)
+def _reduced_rank(rows: tuple[tuple[int, ...], ...]) -> int:
+    return len(bareiss_echelon(rows)[1])
 
 
 def adjugate(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import chain
 from math import comb, gcd
 
-from .exactmath import adjugate, bareiss_echelon, primitive_row, rank_of_rows
+from .exactmath import adjugate, bareiss_echelon, primitive_row
 from .orders import OrderKind, is_initial_segment_member
 from .polytope_core import CheckFailed, HRep, IncidenceMatrix, VRep, check_theta_entries
 from .polytope_core import UnsupportedDimension, facet_spans_ridge
@@ -279,7 +279,9 @@ def verify_hull_equivalence(kind: OrderKind, theta, h: HRep, v: VRep) -> dict:
     routes and satisfies the inequalities, so by convexity every segment
     point does; (b) vertex enumeration of the HRep yields exactly the VRep
     coordinates; (c) every VRep coordinate is a piece vertex and a segment
-    member by both routes; (d) every vertex has a rank-d tight subsystem.
+    member by both routes; (d) every vertex has a rank-d tight subsystem,
+    read through HRep.tight_rank, so a certificate that incidence already
+    computed on h is not computed again.
     Returns per-check booleans, overall "pass" and "segment_points", the
     size of the segment.
     """
@@ -295,8 +297,7 @@ def verify_hull_equivalence(kind: OrderKind, theta, h: HRep, v: VRep) -> dict:
             coords in corners and _member(kind, coords, theta) for _, coords in v
         ),
         "vertex_certificates": all(
-            rank_of_rows([h.normals[i] for i in rows]) == h.dim
-            for rows in basis.tight_rows
+            h.tight_rank(z >> 1) == h.dim for _, z in _extreme_rays(h)
         ),
     }
     report["pass"] = all(report.values())

@@ -203,7 +203,7 @@ class HRep:
     Fraction. ``ids`` optionally names each facet.
     """
 
-    __slots__ = ("normals", "rhs", "ids", "dim")
+    __slots__ = ("normals", "rhs", "ids", "dim", "_ranks")
     CONTAINS_CHUNK = 1024  # points per packed test in contains_all
 
     def __init__(
@@ -230,12 +230,23 @@ class HRep:
         self.ids = tuple(ids) if ids is not None else None
         if self.ids is not None and len(self.ids) != len(self.normals):
             raise ValueError("ids length mismatch")
+        self._ranks: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self.normals)
 
     def rows(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         return list(zip(self.normals, self.rhs))
+
+    def tight_rank(self, mask: int) -> int:
+        """Rank of the normals of the rows in mask (bit f is row f), computed
+        once per mask: the vertex certificates of `incidence` and of the
+        oracle's check (d) read the same entry."""
+        rank = self._ranks.get(mask)
+        if rank is None:
+            rows = [n for f, n in enumerate(self.normals) if mask >> f & 1]
+            rank = self._ranks[mask] = rank_of_rows(rows)
+        return rank
 
     def contains(self, point: Sequence) -> bool:
         p, den = _over_common_denominator(point)
@@ -396,8 +407,7 @@ def incidence(h: HRep, v: VRep) -> IncidenceMatrix:
         if any(s < 0 for s in slacks):
             raise InfeasibleVertex(f"{label} violates a facet row")
         mask = sum(1 << f for f, s in enumerate(slacks) if s == 0)
-        tight_normals = [h.normals[f] for f in range(len(h)) if mask >> f & 1]
-        if mask.bit_count() < d or rank_of_rows(tight_normals) < d:
+        if mask.bit_count() < d or h.tight_rank(mask) < d:
             raise InfeasibleVertex(f"{label} lacks a rank-{d} tight system")
         masks.append(mask)
     ids = list(h.ids) if h.ids is not None else list(range(len(h)))

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven numbered criteria, one pass/fail line each.
+"""Acceptance gate: twelve numbered criteria, one pass/fail line each.
 
 Every criterion prints "[acceptance] C<n> <slug>: PASS|FAIL (…s, cap …s)"
 so the test output doubles as a sign-off checklist. All checks are exact
@@ -430,4 +430,23 @@ def test_c11_dd_ladder_to_d20(capsys):
         ok = True
     finally:
         _line(capsys, 11, "dd-ladder-to-d20", ok,
+              time.perf_counter() - started, cap)
+
+
+def test_c12_frontier_suites_at_d30(capsys):
+    # the frontier suites and the oracle in one verify call per family at
+    # d = 30; vertex certificates and repeated reduced systems are ranked once
+    cap, started, ok = 15.0, time.perf_counter(), False
+    suites = "vertices,facets,incidence,dantzig,graph,oracle"
+    theta = ",".join(map(str, (3, 3, 3) + (2,) * 27))
+    try:
+        for family in FAMILIES:
+            code = cli.main(["verify", "--family", family, "--theta", theta, "--suites", suites])
+            report = json.loads(capsys.readouterr().out)
+            assert code == cli.EXIT_OK and report["passed"], (family, report)
+            assert [s["suite"] for s in report["suites"]] == suites.split(",")
+        assert time.perf_counter() - started < cap
+        ok = True
+    finally:
+        _line(capsys, 12, "frontier-suites-at-d30", ok,
               time.perf_counter() - started, cap)

@@ -80,6 +80,17 @@ def test_construct_out_file(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("target", ["missing/p.json", "."])
+def test_construct_out_to_an_unwritable_path_exits_2(tmp_path, capsys, target):
+    # a missing directory, and a directory in place of a file
+    code, out, err = run(
+        capsys, "construct", "--family", "grlex", "--theta", "2,2,2",
+        "--out", str(tmp_path / target),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+
+
 def test_construct_deterministic(capsys):
     a = run(capsys, "construct", "--family", "grlex", "--theta", "1,2,3,1")
     b = run(capsys, "construct", "--family", "grlex", "--theta", "1,2,3,1")
@@ -126,6 +137,15 @@ def test_verify_subset_of_suites(capsys):
         "facets",
         "dantzig",
     ]
+
+
+def test_verify_runs_each_named_suite_once(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--family", "grlex", "--theta", "2,2,2",
+        "--suites", "graph,facets,graph,facets",
+    )
+    assert code == 0
+    assert [s["suite"] for s in json.loads(out)["suites"]] == ["graph", "facets"]
 
 
 def test_verify_all_mode_skips_over_budget(capsys):
@@ -221,6 +241,46 @@ def test_verify_all_runs_the_dd_once(capsys, monkeypatch, family):
     assert code == 0 and report["passed"]
     assert not any(suite["skipped"] for suite in report["suites"])
     assert len(runs) == 1
+
+
+@pytest.mark.parametrize("family", ["grlex", "grevlex"])
+def test_oracle_reuses_the_vertex_certificates_of_incidence(capsys, monkeypatch, family):
+    # check (d) ranks no system and eliminates none: every certificate it
+    # reads was computed, and its reduced system eliminated, by incidence
+    from dantzigfig import exactmath, grevlex_family, grlex_family, oracle, polytope_core
+
+    memo = exactmath._reduced_rank
+    assert exactmath.RANK_MEMO_SIZE is not None
+    assert memo.cache_info().maxsize == exactmath.RANK_MEMO_SIZE
+    for module in (grlex_family, grevlex_family):  # a fresh HRep, no rank read yet
+        for function in vars(module).values():
+            if hasattr(function, "cache_clear"):
+                function.cache_clear()
+    memo.cache_clear()
+    ranked, seen = [], {}
+    rank, original = polytope_core.rank_of_rows, oracle.verify_hull_equivalence
+
+    def counted(*args):
+        before = len(ranked), memo.cache_info().misses
+        report = original(*args)
+        seen["incidence eliminated"] = before[1]
+        seen["oracle ranked"] = len(ranked) - before[0]
+        seen["oracle eliminated"] = memo.cache_info().misses - before[1]
+        return report
+
+    monkeypatch.setattr(
+        polytope_core, "rank_of_rows", lambda rows: ranked.append(rows) or rank(rows)
+    )
+    monkeypatch.setattr(oracle, "verify_hull_equivalence", counted)
+    code, out, _ = run(
+        capsys, "verify", "--family", family, "--theta", "3,3,3,2,2,2,2,2",
+        "--suites", "incidence,oracle",
+    )
+    report = json.loads(out)
+    assert code == 0 and report["passed"]
+    assert report["suites"][1]["details"]["vertex_certificates"] is True
+    assert seen["incidence eliminated"] > 0
+    assert seen["oracle ranked"] == seen["oracle eliminated"] == 0
 
 
 # ------------------------------------------------------------ compare
@@ -349,6 +409,9 @@ def test_graph_json_merged_uses_relaxed_coloring(capsys):
         (),
         ("verify", "--family", "grlex", "--theta", "2,2,2", "--suites", ","),
         ("verify", "--family", "grevlex", "--theta", "2,2,2", "--suites", ""),
+        ("verify", "--family", "grlex", "--theta", "2,2,2", "--suites", "expansion",
+         "--expansion-max-n", "-3"),
+        ("graph", "--family", "grlex", "--theta", "2,2,2", "--expansion-max-n", "-1"),
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

@@ -63,6 +63,20 @@ def test_rank_equals_transpose_rank():
     assert rank_of_rows(m) == rank_of_rows(list(zip(*m))) == 2
 
 
+def test_rank_memo_is_keyed_by_the_reduced_system_and_bounded():
+    from dantzigfig import exactmath
+
+    memo = exactmath._reduced_rank
+    memo.cache_clear()
+    # other unit rows, the same system (2, 4), (1, 2) once they are split off
+    assert rank_of_rows([(1, 0, 0), (0, 2, 4), (0, 1, 2)]) == 2
+    assert rank_of_rows([(0, 0, 5), (2, 4, 0), (1, 2, 0)]) == 2
+    assert memo.cache_info()[:2] == (1, 1)  # hits, misses
+    size = exactmath.RANK_MEMO_SIZE
+    assert [rank_of_rows([(k, 1), (1, k)]) for k in range(size + 8)] == [2, 1] + [2] * (size + 6)
+    assert memo.cache_info().currsize == size
+
+
 def test_primitive_row():
     assert primitive_row([F(2, 3), F(4, 3)]) == (1, 2)
     assert primitive_row([-2, -4, 6]) == (-1, -2, 3)

@@ -590,6 +590,19 @@ def test_hull_equivalence_detects_wrong_vrep():
     assert not report["pass"]
 
 
+def test_hull_equivalence_detects_a_rank_deficient_certificate(monkeypatch):
+    # check (d) reads HRep.tight_rank; a fresh HRep has no rank memoized yet
+    from dantzigfig import polytope_core
+
+    inst = make_grlex((2, 2, 2))
+    h, v = grlex_hrep(inst), grlex_vertices(inst)
+    assert verify_hull_equivalence(OrderKind.GRLEX, (2, 2, 2), HRep(h.rows()), v)["pass"]
+    monkeypatch.setattr(polytope_core, "rank_of_rows", lambda rows: 2)
+    report = verify_hull_equivalence(OrderKind.GRLEX, (2, 2, 2), HRep(h.rows()), v)
+    assert report["basis_equals_closed_form"] and not report["vertex_certificates"]
+    assert not report["pass"]
+
+
 # --------------------------------------------------- irredundancy
 
 

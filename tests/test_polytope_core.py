@@ -206,6 +206,19 @@ def test_hrep_contains_and_slacks():
     assert h.slacks((0, 0)) == (0, 0, 1, 1)
 
 
+def test_hrep_tight_rank_is_computed_once_per_mask(monkeypatch):
+    from dantzigfig import polytope_core
+
+    h, _ = unit_cube()  # rows -x, x, -y, y, -z, z
+    calls = []
+    rank = polytope_core.rank_of_rows
+    monkeypatch.setattr(
+        polytope_core, "rank_of_rows", lambda rows: calls.append(rows) or rank(rows)
+    )
+    assert [h.tight_rank(m) for m in (0b010101, 0b010101, 0b000011, 0)] == [3, 3, 1, 0]
+    assert len(calls) == 3
+
+
 def test_hrep_rejects_zero_normal():
     with pytest.raises(ValueError):
         HRep([((0, 0), 1)])
