@@ -10,8 +10,6 @@ from .family import Family
 from .grevlex_family import (
     GREVLEX,
     GrevlexInstance,
-    ImproperColoring,
-    grevlex_antipodal,
     grevlex_coloring,
     grevlex_edges,
     grevlex_facet_matrix,
@@ -42,7 +40,6 @@ from .grlex_family import (
     u_label,
 )
 from .oracle import (
-    BasisVertexSet,
     BudgetExceeded,
     LatticeSegment,
     NotFullDimensional,
@@ -56,9 +53,6 @@ from .oracle import (
 from .orders import (
     LengthMismatch,
     OrderKind,
-    Ordering,
-    compare_graded,
-    compare_lex,
     is_initial_segment_member,
 )
 from .polytope_core import (
@@ -89,7 +83,6 @@ from .polytope_graph import (
     TooLarge,
     combinatorially_equal,
     edge_expansion_exact,
-    find_hamiltonian_cycle,
     proper_coloring_search,
     radius_and_diameter,
     verify_coloring,

@@ -77,8 +77,7 @@ def _write_out(text: str, out: str | None) -> None:
 def _suite_vertices(fam, inst, budget) -> dict:
     v = fam.vertices(inst)
     expected = fam.vertex_count(inst)
-    basis = oracle.hull_vertices_by_basis(fam.hrep(inst))
-    basis_match = basis.coordinate_set() == v.coordinate_set()
+    basis_match = oracle.hull_vertices_by_basis(fam.hrep(inst)) == v.coordinate_set()
     return {
         "passed": len(v) == expected and basis_match,
         "details": {
@@ -114,8 +113,7 @@ def _suite_incidence(fam, inst, budget) -> dict:
     vertex_bits_ok = all(m.bit_count() >= d for m in inc.vertex_masks)
     facet_bits_ok = all(m.bit_count() >= d for m in inc.facet_masks)
     # the criterion needs a complete vertex list, which the DD run certifies
-    basis = oracle.hull_vertices_by_basis(h)
-    complete = basis.coordinate_set() == fam.vertices(inst).coordinate_set()
+    complete = oracle.hull_vertices_by_basis(h) == fam.vertices(inst).coordinate_set()
     ridge_ok = complete and all(facet_spans_ridge(inc, f) for f in range(len(h)))
     return {
         "passed": vertex_bits_ok and facet_bits_ok and ridge_ok,
@@ -258,11 +256,12 @@ def cmd_verify(args) -> int:
     requested = [s.strip() for s in args.suites.split(",") if s.strip()]
     if not requested:
         raise CLIError(f"no suite named in --suites {args.suites!r}")
-    all_mode = "all" in requested
-    names = list(SUITE_NAMES) if all_mode else list(dict.fromkeys(requested))
-    bad = [s for s in names if s not in _SUITES]
+    asked = list(dict.fromkeys(requested))
+    bad = [s for s in asked if s != "all" and s not in _SUITES]
     if bad:
         raise CLIError(f"unknown suites: {bad}; valid: {SUITE_NAMES} or all")
+    all_mode = "all" in asked
+    names = list(SUITE_NAMES) if all_mode else asked
     budget = {"expansion_max_n": args.expansion_max_n}
     results = []
     failed = False

@@ -3,10 +3,11 @@
 The closed forms of Q: vertices ubar(2..d+1) and vbar(j,k), the facet
 matrix Mbar (columns are edge directions at theta) with its inverse Nbar
 by recursion, the tight sets of the 2d facet rows, the edge families, a
-serpentine Hamiltonian cycle, a residue d-coloring, and the antipodal-pair
-census. The shared builders of `family` check each of them against the
-generic numeric machinery. Unlike P there are no vertex merges — the
-count is (d^2+d+2)/2 for every theta >= 1.
+serpentine Hamiltonian cycle, a residue d-coloring, and the antipodal
+pairs. The shared builders of `family` check the others against the
+generic numeric machinery, and the verify `dantzig` suite checks the
+pairs. Unlike P there are no vertex merges — the count is (d^2+d+2)/2 for
+every theta >= 1.
 """
 
 from __future__ import annotations
@@ -34,11 +35,7 @@ from .polytope_core import (
     IncidenceMatrix,
     VRep,
     VertexLabel,
-    list_antipodal_pairs,
 )
-
-# Kept as a name for CheckFailed, which a failed coloring check raises.
-ImproperColoring = CheckFailed
 
 
 class GrevlexInstance(ThetaInstance):
@@ -260,15 +257,6 @@ def grevlex_coloring(inst: GrevlexInstance) -> dict[VertexLabel, int]:
     for j, k in _vbar_range(d):
         coloring[VertexLabel.vbar(j, k)] = (k + j) % d
     return checked_coloring(grevlex_graph(inst), coloring, d)
-
-
-def grevlex_antipodal(inst: GrevlexInstance) -> list[tuple[VertexLabel, VertexLabel]]:
-    """Antipodal vertex pairs of Q: always (0, ubar(2)); d = 3 adds
-    (vbar(1,3), vbar(2,4))."""
-    pairs = list_antipodal_pairs(grevlex_incidence(inst))
-    if {frozenset(p) for p in pairs} != GREVLEX.antipodal_pairs(inst):
-        raise CheckFailed("antipodal census mismatch")
-    return pairs
 
 
 class GrevlexFamily(Family):

@@ -2,7 +2,8 @@
 
 Two oracles: (1) the lattice initial segment as O(d) lattice polytopes
 whose O(d^2) vertices are read off theta and the order alone, each vertex
-a segment member by two separate membership routes that are cross-checked;
+a segment member by two separate membership routes that are cross-checked,
+and checked against the inequalities one by one with HRep.contains;
 (2) vertex enumeration of an HRep by double description (Motzkin et al.
 1953; Fukuda & Prodon 1996) in exact integer arithmetic. Both read only
 theta or the numeric rows, never a closed form, so they catch errors in the
@@ -166,26 +167,6 @@ def segment_pieces(
     return tuple(pieces), size
 
 
-class BasisVertexSet:
-    """Vertices of an HRep in sorted order, with their tight row indices."""
-
-    __slots__ = ("coords", "tight_rows")
-
-    def __init__(
-        self,
-        coords: tuple[tuple[int | Fraction, ...], ...],
-        tight_rows: tuple[tuple[int, ...], ...],
-    ):
-        self.coords = coords
-        self.tight_rows = tight_rows
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def coordinate_set(self) -> frozenset:
-        return frozenset(self.coords)
-
-
 @lru_cache(maxsize=1)
 def _extreme_rays(h: HRep) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Extreme rays of the cone {(x,t) : a·x - beta·t <= 0 per row, t >= 0}.
@@ -250,26 +231,21 @@ def _extreme_rays(h: HRep) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(rays)
 
 
-def hull_vertices_by_basis(h: HRep) -> BasisVertexSet:
-    """All vertices of {x : Ax <= beta}, with the rows tight at each.
+def hull_vertices_by_basis(h: HRep) -> frozenset:
+    """The vertices of {x : Ax <= beta}, as a frozenset of coordinate tuples.
 
     Vertex enumeration by double description of the homogenized cone (see
     _extreme_rays): each extreme ray (x, t) is the vertex x/t, whose
     coordinates are ints where t divides them and Fractions elsewhere.
     Raises UnboundedSuspected on a recession ray. Only the numeric rows are
-    read.
+    read; the rows tight at each vertex are the masks of _extreme_rays.
     """
     d = h.dim
-    found = []
-    for ray, mask in _extreme_rays(h):
+    found = set()
+    for ray, _ in _extreme_rays(h):
         t = ray[d]
-        tight = tuple(i for i in range(len(h.normals)) if mask >> (i + 1) & 1)
-        coords = tuple(y // t if y % t == 0 else Fraction(y, t) for y in ray[:d])
-        found.append((coords, tight))
-    found.sort()
-    return BasisVertexSet(
-        coords=tuple(x for x, _ in found), tight_rows=tuple(r for _, r in found)
-    )
+        found.add(tuple(y // t if y % t == 0 else Fraction(y, t) for y in ray[:d]))
+    return frozenset(found)
 
 
 def verify_hull_equivalence(kind: OrderKind, theta, h: HRep, v: VRep) -> dict:
@@ -288,11 +264,10 @@ def verify_hull_equivalence(kind: OrderKind, theta, h: HRep, v: VRep) -> dict:
     theta = tuple(theta)
     pieces, size = segment_pieces(kind, theta)
     corners = {x for piece in pieces for x in piece}
-    basis = hull_vertices_by_basis(h)
     report = {
         "segment_in_hrep": all(_member(kind, x, theta) for x in corners)
-        and h.contains_all(corners),
-        "basis_equals_closed_form": basis.coordinate_set() == v.coordinate_set(),
+        and all(map(h.contains, corners)),
+        "basis_equals_closed_form": hull_vertices_by_basis(h) == v.coordinate_set(),
         "vertices_in_segment": all(
             coords in corners and _member(kind, coords, theta) for _, coords in v
         ),

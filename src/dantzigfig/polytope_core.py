@@ -12,10 +12,8 @@ modules. The functions that read the incidence of (h, v) take it as `inc`.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
-from itertools import islice
-from math import floor, gcd, lcm
+from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
@@ -71,9 +69,9 @@ class VertexLabel(tuple):
 
     kind is one of "zero", "theta", "w", "u", "v", "ubar", "vbar"; the index
     fields are used by the indexed kinds only. A label is the immutable tuple
-    (rank of kind, k, j, kind): its tuple order is sort_key(), so ==, hash
-    and sorting run as tuple operations, and the kind string keeps a label
-    unequal to any coordinate tuple and to any FacetId.
+    (rank of kind, k, j, kind), so labels sort by kind rank, then k, then j;
+    ==, hash and sorting run as tuple operations, and the kind string keeps
+    a label unequal to any coordinate tuple and to any FacetId.
     """
 
     __slots__ = ()
@@ -124,9 +122,6 @@ class VertexLabel(tuple):
         if not 1 <= j < k - 1:
             raise ValueError("vbar(j,k) needs 1 <= j < k-1")
         return VertexLabel("vbar", j=j, k=k)
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return self[:3]
 
     def __str__(self) -> str:
         _, k, j, kind = self
@@ -204,7 +199,6 @@ class HRep:
     """
 
     __slots__ = ("normals", "rhs", "ids", "dim", "_ranks")
-    CONTAINS_CHUNK = 1024  # points per packed test in contains_all
 
     def __init__(
         self,
@@ -253,50 +247,6 @@ class HRep:
         return all(
             sum(map(mul, n, p)) <= b * den for n, b in zip(self.normals, self.rhs)
         )
-
-    def contains_all(self, points: Iterable[Sequence]) -> bool:
-        """all(map(self.contains, points)), decided CONTAINS_CHUNK points at a time.
-
-        Coordinate j of a chunk is packed into C_j = sum_k x_kj 2^(wk). For a row
-        (a, beta), T = (floor(beta) + 2^(w-1)) sum_k 2^(wk) - sum_j a_j C_j holds
-        f_k = floor(beta) - a·x_k + 2^(w-1) in field k, as w makes 2^(w-1) exceed
-        |floor(beta)| + sum_j |a_j| max_k x_kj: f_k is in (0, 2^w), and no borrow
-        or carry crosses a field. As a·x_k is an integer, x_k meets the row iff the
-        top bit of field k is set; one & over the rows tests the chunk. A chunk with
-        a point that is not a length-dim vector of ints in [0, 2^64) uses contains.
-        """
-        from array import array  # a shared library, kept off `import dantzigfig`
-
-        it = iter(points)
-        while chunk := list(islice(it, self.CONTAINS_CHUNK)):
-            try:
-                if set(map(len, chunk)) != {self.dim}:
-                    raise TypeError("ragged points")
-                cols = [array("Q", col) for col in zip(*chunk)]
-            except (TypeError, OverflowError):
-                if all(map(self.contains, chunk)):
-                    continue
-                return False
-            floors, tops = [floor(b) for b in self.rhs], [max(col) for col in cols]
-            bound = max(
-                abs(f) + sum(map(mul, map(abs, a), tops))
-                for a, f in zip(self.normals, floors)
-            )
-            n, w = len(chunk), 64 * (bound.bit_length() // 64 + 1)  # 2^(w-1) > bound
-            packed = []
-            for col in cols:
-                wide = array("Q", bytes(w // 8 * n))
-                memoryview(wide)[:: w // 64] = col
-                if sys.byteorder == "big":
-                    wide.byteswap()
-                packed.append(int.from_bytes(wide.tobytes(), "little"))
-            half, ones = 1 << (w - 1), ((1 << w * n) - 1) // ((1 << w) - 1)
-            acc = top_bits = half * ones
-            for normal, f in zip(self.normals, floors):
-                acc &= (f + half) * ones - sum(a * c for a, c in zip(normal, packed) if a)
-            if acc != top_bits:
-                return False
-        return True
 
     def slacks(self, point: Sequence) -> tuple[int | Fraction, ...]:
         """beta - a·x per row: ints for an integral point and rhs."""
@@ -369,11 +319,6 @@ class IncidenceMatrix:
             sum(1 << i for i, vm in enumerate(vertex_masks) if vm >> f & 1)
             for f in range(len(facet_ids))
         ]
-
-    def tight_facets(self, label) -> list:
-        i = self.labels.index(label)
-        vm = self.vertex_masks[i]
-        return [fid for f, fid in enumerate(self.facet_ids) if vm >> f & 1]
 
     def facet_vertex_counts(self) -> list[int]:
         return [fm.bit_count() for fm in self.facet_masks]
@@ -458,10 +403,6 @@ class TangentCone:
         self.apex = apex
         self.generators = generators
         self.tight_rows = tight_rows
-
-    def hrep(self) -> HRep:
-        """The cone as inequalities; the apex is tight on every row."""
-        return HRep([(n, sum(a * x for a, x in zip(n, self.apex))) for n, _ in self.tight_rows])
 
 
 def tangent_cone(h: HRep, v: VRep, label, inc: IncidenceMatrix) -> TangentCone:

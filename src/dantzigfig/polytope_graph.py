@@ -125,32 +125,6 @@ def verify_hamiltonian(graph: PolytopeGraph, cycle) -> bool:
     )
 
 
-def find_hamiltonian_cycle(graph: PolytopeGraph):
-    """Backtracking search; returns a label cycle or None."""
-    n = len(graph)
-    if n < 3:
-        return None
-    adj = graph.adj
-    path = [0]
-    used = [1]  # visited-vertex bitmask, boxed for the closure
-
-    def extend() -> bool:
-        if len(path) == n:
-            return bool(adj[path[-1]] >> path[0] & 1)
-        for i in _bits(adj[path[-1]] & ~used[0]):
-            path.append(i)
-            used[0] |= 1 << i
-            if extend():
-                return True
-            used[0] &= ~(1 << i)
-            path.pop()
-        return False
-
-    if extend():
-        return [graph.labels[i] for i in path]
-    return None
-
-
 def verify_coloring(graph: PolytopeGraph, coloring) -> tuple[bool, int]:
     """(proper, number of distinct colors); requires all vertices colored."""
     missing = [lab for lab in graph.labels if lab not in coloring]

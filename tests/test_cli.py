@@ -412,6 +412,7 @@ def test_graph_json_merged_uses_relaxed_coloring(capsys):
         ("verify", "--family", "grlex", "--theta", "2,2,2", "--suites", "expansion",
          "--expansion-max-n", "-3"),
         ("graph", "--family", "grlex", "--theta", "2,2,2", "--expansion-max-n", "-1"),
+        ("verify", "--family", "grlex", "--theta", "2,2,2", "--suites", "all,bogus"),
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

@@ -8,10 +8,10 @@ check live, and the recursive generator the line-at-a-time simplex walk
 replaced is kept as its referee. The enumerated segment is in turn the
 referee of segment_pieces, which the verify path uses: the lattice points
 of the pieces, read off their vertices, must equal it point for point.
-The batch containment of check (a) is refereed in
-test_polytope_core_random.py. The double-description vertex
-oracle is refereed by a naive basis scan, which is only fast enough for
-d <= 7. Facet irredundancy, decided from one double-description run, is
+Check (a) tests the piece vertices with HRep.contains, which
+test_polytope_core_random.py checks against the slacks. The
+double-description vertex oracle is refereed by a naive basis scan, which
+is only fast enough for d <= 7. Facet irredundancy, decided from one double-description run, is
 refereed by the row-drop rerun: drop each row and compare the vertex sets.
 """
 
@@ -304,7 +304,7 @@ def test_segment_pieces_refuse_d0_and_lex():
     with pytest.raises(UnsupportedDimension):
         segment_pieces(OrderKind.GRLEX, ())
     with pytest.raises(ValueError, match="not a graded order"):
-        segment_pieces(OrderKind.LEX, (1, 2))
+        segment_pieces("lex", (1, 2))
 
 
 @pytest.mark.parametrize("kind", [OrderKind.GRLEX, OrderKind.GREVLEX])
@@ -345,16 +345,27 @@ def unit_square_h():
     return HRep([((-1, 0), 0), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1)])
 
 
+def dd_tight_masks(h):
+    """Each DD vertex with the mask of the rows tight at it (bit i is row i),
+    as oracle check (d) and facet_irredundancy read them."""
+    d = h.dim
+    return {
+        tuple(F(y, ray[d]) for y in ray[:d]): z >> 1 for ray, z in oracle._extreme_rays(h)
+    }
+
+
 def test_basis_scan_square():
-    out = hull_vertices_by_basis(unit_square_h())
-    assert out.coordinate_set() == {
+    h = unit_square_h()
+    out = hull_vertices_by_basis(h)
+    assert out == {
         (0, 0),
         (1, 0),
         (0, 1),
         (1, 1),
     }
-    for coords, rows in zip(out.coords, out.tight_rows):
-        assert len(rows) >= 2
+    masks = dd_tight_masks(h)
+    assert masks.keys() == out
+    assert all(mask.bit_count() >= 2 for mask in masks.values())
 
 
 def test_basis_scan_cube():
@@ -366,7 +377,7 @@ def test_basis_scan_cube():
         rows.append((tuple(hi), 1))
     out = hull_vertices_by_basis(HRep(rows))
     assert len(out) == 8
-    assert all(set(c) <= {0, 1} for c in out.coordinate_set())
+    assert all(set(c) <= {0, 1} for c in out)
 
 
 def test_basis_scan_degenerate_apex():
@@ -378,11 +389,11 @@ def test_basis_scan_degenerate_apex():
         ((0, 2, 1), 2),
         ((0, -2, 1), 2),
     ]
-    out = hull_vertices_by_basis(HRep(rows))
+    h = HRep(rows)
+    out = hull_vertices_by_basis(h)
     assert len(out) == 5
-    assert (0, 0, 2) in out.coordinate_set()
-    apex_rows = out.tight_rows[out.coords.index((F(0), F(0), F(2)))]
-    assert len(apex_rows) == 4  # all four slanted facets tight
+    assert (0, 0, 2) in out
+    assert dd_tight_masks(h)[0, 0, 2] == 0b11110  # all four slanted facets tight
 
 
 def test_basis_scan_unbounded():
@@ -405,7 +416,7 @@ def test_basis_scan_without_structural_certificate():
 def test_basis_scan_family_smoke():
     inst = make_grlex((2, 2, 2))
     out = hull_vertices_by_basis(grlex_hrep(inst))
-    assert out.coordinate_set() == grlex_vertices(inst).coordinate_set()
+    assert out == grlex_vertices(inst).coordinate_set()
 
 
 def test_basis_scan_unbounded_without_axis_ray():
@@ -483,7 +494,7 @@ def without_row(h, index):
 
 def dd_vertices(h):
     try:
-        return list(hull_vertices_by_basis(h).coords)
+        return sorted(hull_vertices_by_basis(h))
     except UnboundedSuspected:
         return None
 
@@ -529,14 +540,14 @@ def test_dd_family_coordinates_are_ints():
     for make, hrep in ((make_grlex, grlex_hrep), (make_grevlex, grevlex_hrep)):
         for d in range(3, 9):
             out = hull_vertices_by_basis(hrep(make((3,) + (2,) * (d - 1))))
-            assert all(type(x) is int for c in out.coords for x in c)
+            assert all(type(x) is int for c in out for x in c)
 
 
 def test_dd_rational_vertex_keeps_fraction():
     # 2x <= 1 and 2y <= 1 over the positive quadrant: x, y in {0, 1/2}
     h = HRep([((-1, 0), 0), ((0, -1), 0), ((2, 0), 1), ((0, 2), 1)])
-    coords = hull_vertices_by_basis(h).coords
-    assert coords == ((0, 0), (0, F(1, 2)), (F(1, 2), 0), (F(1, 2), F(1, 2)))
+    coords = sorted(hull_vertices_by_basis(h))
+    assert coords == [(0, 0), (0, F(1, 2)), (F(1, 2), 0), (F(1, 2), F(1, 2))]
     assert [[type(x) for x in c] for c in coords[:2]] == [[int, int], [int, F]]
 
 
@@ -609,11 +620,11 @@ def test_hull_equivalence_detects_a_rank_deficient_certificate(monkeypatch):
 def rerun_irredundancy(h):
     """The changed flags of the row-drop rerun: a row is needed iff
     dropping it makes the system unbounded or changes its vertex set."""
-    base = hull_vertices_by_basis(h).coordinate_set()
+    base = hull_vertices_by_basis(h)
     out = []
     for i in range(len(h)):
         try:
-            dropped = hull_vertices_by_basis(without_row(h, i)).coordinate_set()
+            dropped = hull_vertices_by_basis(without_row(h, i))
             out.append(dropped != base)
         except UnboundedSuspected:
             out.append(True)

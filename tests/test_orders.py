@@ -1,9 +1,10 @@
-"""Term orders: lex, graded lex, graded reverse lex, segment membership.
+"""Graded term orders (grlex, grevlex) and initial-segment membership.
 
-The comparators compare sort keys. The loop-based comparators they
-replaced are kept below as referees and checked against them on every
-verdict, both graded kinds, and each error (a length mismatch, a non-graded
-kind, a negative coordinate), down to the empty vector.
+Membership compares sort keys (graded_key). The loop-based comparators the
+keys replaced are kept below as referees: the order of the keys is checked
+against them on every verdict and both kinds, and membership on each error
+(a length mismatch, a kind that is not a graded order, a negative
+coordinate), down to the empty vector.
 """
 
 from functools import cmp_to_key
@@ -16,46 +17,50 @@ from hypothesis import strategies as st
 from dantzigfig.orders import (
     LengthMismatch,
     OrderKind,
-    Ordering,
-    compare_graded,
-    compare_lex,
     graded_key,
     is_initial_segment_member,
 )
 
-L, E, G = Ordering.LESS, Ordering.EQUAL, Ordering.GREATER
+L, E, G = -1, 0, 1
+
+
+def key_cmp(kind, x, y):
+    """L, E or G as graded_key(kind, x) is below, equal to or above that of y."""
+    kx, ky = graded_key(kind, x), graded_key(kind, y)
+    return (kx > ky) - (kx < ky)
 
 
 def test_lex_reads_right_to_left():
-    # the last coordinate is the most significant
-    assert compare_lex((0, 0, 5), (2, 2, 2)) is G
-    assert compare_lex((6, 0, 0), (2, 2, 2)) is L
-    assert compare_lex((1, 0), (0, 1)) is L
-    assert compare_lex((3, 7, 1), (3, 7, 1)) is E
+    # on a degree tie grlex keeps the lex verdict: the last coordinate is
+    # the most significant
+    assert key_cmp(OrderKind.GRLEX, (0, 0, 6), (2, 2, 2)) == G
+    assert key_cmp(OrderKind.GRLEX, (6, 0, 0), (2, 2, 2)) == L
+    assert key_cmp(OrderKind.GRLEX, (1, 0), (0, 1)) == L
+    assert key_cmp(OrderKind.GRLEX, (3, 7, 1), (3, 7, 1)) == E
 
 
 def test_grlex_degree_dominates():
-    assert compare_graded(OrderKind.GRLEX, (3, 0, 0), (1, 1, 0)) is G
-    assert compare_graded(OrderKind.GRLEX, (0, 1, 0), (0, 0, 2)) is L
+    assert key_cmp(OrderKind.GRLEX, (3, 0, 0), (1, 1, 0)) == G
+    assert key_cmp(OrderKind.GRLEX, (0, 1, 0), (0, 0, 2)) == L
     # equal degree falls back to lex
-    assert compare_graded(OrderKind.GRLEX, (2, 0, 0), (0, 2, 0)) is L
-    assert compare_graded(OrderKind.GRLEX, (0, 2, 0), (2, 0, 0)) is G
-    assert compare_graded(OrderKind.GRLEX, (1, 1, 0), (0, 0, 2)) is L
+    assert key_cmp(OrderKind.GRLEX, (2, 0, 0), (0, 2, 0)) == L
+    assert key_cmp(OrderKind.GRLEX, (0, 2, 0), (2, 0, 0)) == G
+    assert key_cmp(OrderKind.GRLEX, (1, 1, 0), (0, 0, 2)) == L
 
 
 def test_grevlex_reverses_the_tiebreak():
     x, y = (2, 0, 0), (0, 2, 0)
-    assert compare_graded(OrderKind.GRLEX, x, y) is L
-    assert compare_graded(OrderKind.GREVLEX, x, y) is G
+    assert key_cmp(OrderKind.GRLEX, x, y) == L
+    assert key_cmp(OrderKind.GREVLEX, x, y) == G
     # degree still dominates in both
-    assert compare_graded(OrderKind.GREVLEX, (3, 0, 0), (1, 1, 0)) is G
+    assert key_cmp(OrderKind.GREVLEX, (3, 0, 0), (1, 1, 0)) == G
 
 
 def test_length_mismatch():
     with pytest.raises(LengthMismatch):
-        compare_lex((1, 2), (1, 2, 3))
+        is_initial_segment_member(OrderKind.GRLEX, (1, 2), (1, 2, 3))
     with pytest.raises(LengthMismatch):
-        compare_graded(OrderKind.GRLEX, (1,), (1, 1))
+        is_initial_segment_member(OrderKind.GREVLEX, (1,), (1, 1))
 
 
 def test_grlex_membership_examples():
@@ -87,34 +92,30 @@ def _all_tuples(d, cap):
     return list(product(range(cap + 1), repeat=d))
 
 
-@pytest.mark.parametrize("kind", [OrderKind.LEX, OrderKind.GRLEX, OrderKind.GREVLEX])
+@pytest.mark.parametrize("kind", [OrderKind.GRLEX, OrderKind.GREVLEX])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_total_order_exhaustive(kind, d):
     """Inventory check on small grids: total, antisymmetric, transitive."""
     pts = _all_tuples(d, 2)
-    cmp = (
-        compare_lex
-        if kind is OrderKind.LEX
-        else lambda x, y: compare_graded(kind, x, y)
-    )
+
+    def cmp(x, y):
+        return key_cmp(kind, x, y)
+
     for x in pts:
-        assert cmp(x, x) is E
+        assert cmp(x, x) == E
     for x in pts:
         for y in pts:
             cxy, cyx = cmp(x, y), cmp(y, x)
-            assert (cxy is E) == (x == y)
-            if cxy is L:
-                assert cyx is G
-            if cxy is G:
-                assert cyx is L
+            assert (cxy == E) == (x == y)
+            assert cyx == -cxy
     ordered = sorted(pts, key=lambda x: _rank(cmp, pts, x))
     for i, x in enumerate(ordered):
         for y in ordered[i + 1 :]:
-            assert cmp(x, y) is L
+            assert cmp(x, y) == L
 
 
 def _rank(cmp, pts, x):
-    return sum(1 for y in pts if cmp(y, x) is L)
+    return sum(1 for y in pts if cmp(y, x) == L)
 
 
 vectors = st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=5)
@@ -126,12 +127,12 @@ def test_transitivity_sampled(a, b, c):
     n = min(len(a), len(b), len(c))
     a, b, c = tuple(a[:n]), tuple(b[:n]), tuple(c[:n])
     for kind in (OrderKind.GRLEX, OrderKind.GREVLEX):
-        ab = compare_graded(kind, a, b)
-        bc = compare_graded(kind, b, c)
-        if ab is L and bc is L:
-            assert compare_graded(kind, a, c) is L
-        if ab is E and bc is E:
-            assert compare_graded(kind, a, c) is E
+        ab = key_cmp(kind, a, b)
+        bc = key_cmp(kind, b, c)
+        if ab == L and bc == L:
+            assert key_cmp(kind, a, c) == L
+        if ab == E and bc == E:
+            assert key_cmp(kind, a, c) == E
 
 
 @given(vectors)
@@ -141,7 +142,7 @@ def test_membership_consistent_with_comparator(x):
     x = tuple(x)
     for kind in (OrderKind.GRLEX, OrderKind.GREVLEX):
         member = is_initial_segment_member(kind, x, theta)
-        verdict = compare_graded(kind, x, theta)
+        verdict = key_cmp(kind, x, theta)
         assert member == (verdict in (L, E))
 
 
@@ -166,9 +167,7 @@ def ref_compare_graded(kind, x, y):
     if dx != dy:
         return L if dx < dy else G
     tie = ref_compare_lex(x, y)
-    if kind is OrderKind.GRLEX or tie is E:
-        return tie
-    return L if tie is G else G
+    return tie if kind is OrderKind.GRLEX else -tie
 
 
 def ref_is_member(kind, x, theta):
@@ -204,10 +203,11 @@ pairs = st.one_of(_same_length(st.integers(0, 3)), st.tuples(short, short))
 @settings(max_examples=400, deadline=None)
 def test_comparators_match_loop_referee(kind, pair):
     x, y = pair
-    assert outcome(compare_lex, x, y) == outcome(ref_compare_lex, x, y)
-    assert outcome(compare_graded, kind, x, y) == outcome(
-        ref_compare_graded, kind, x, y
-    )
+    if len(x) == len(y):
+        assert key_cmp(kind, x, y) == ref_compare_graded(kind, x, y)
+    else:
+        assert outcome(ref_compare_graded, kind, x, y) is LengthMismatch
+        assert outcome(is_initial_segment_member, kind, x, y) is LengthMismatch
 
 
 @given(kinds, short)
@@ -215,10 +215,8 @@ def test_comparators_match_loop_referee(kind, pair):
 def test_comparators_match_loop_referee_on_ties(kind, x):
     # equal degree, permuted coordinates: the lex tie-break decides
     y = x[::-1]
-    assert compare_lex(x, y) is ref_compare_lex(x, y)
-    assert outcome(compare_graded, kind, x, y) == outcome(
-        ref_compare_graded, kind, x, y
-    )
+    assert key_cmp(OrderKind.GRLEX, x, y) == ref_compare_lex(x, y)
+    assert key_cmp(kind, x, y) == ref_compare_graded(kind, x, y)
 
 
 @given(kinds, st.one_of(_same_length(st.integers(-1, 3)), st.tuples(signed, short)))
@@ -237,18 +235,18 @@ def test_referee_errors_and_empty_vector():
     # d = 0: no coordinate is negative, and () equals ()
     for kind in (OrderKind.GRLEX, OrderKind.GREVLEX):
         assert is_initial_segment_member(kind, (), ()) is True
-        assert compare_graded(kind, (), ()) is E
-    assert compare_lex((), ()) is E
-    assert outcome(is_initial_segment_member, OrderKind.LEX, (1, 0), (0, 1)) is ValueError
-    assert outcome(compare_graded, OrderKind.LEX, (), ()) is ValueError
+        assert key_cmp(kind, (), ()) == E
+    # a kind that is not a graded order, on a degree tie and off it
+    assert outcome(is_initial_segment_member, "lex", (1, 0), (0, 1)) is ValueError
+    assert outcome(is_initial_segment_member, "lex", (2, 0), (0, 1)) is ValueError
+    assert outcome(graded_key, "lex", ()) is ValueError
     assert outcome(is_initial_segment_member, OrderKind.GRLEX, (0, -1), (1,)) is ValueError
     assert outcome(is_initial_segment_member, OrderKind.GRLEX, (0, 1), (1,)) is LengthMismatch
-    assert outcome(compare_lex, (), (0,)) is LengthMismatch
 
 
 @pytest.mark.parametrize("kind", [OrderKind.GRLEX, OrderKind.GREVLEX])
 def test_graded_key_sorts_like_the_referee(kind):
     pts = _all_tuples(3, 3)
     by_key = sorted(pts, key=lambda x: graded_key(kind, x))
-    by_ref = sorted(pts, key=cmp_to_key(lambda x, y: ref_compare_graded(kind, x, y).value))
+    by_ref = sorted(pts, key=cmp_to_key(lambda x, y: ref_compare_graded(kind, x, y)))
     assert by_key == by_ref

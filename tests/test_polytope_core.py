@@ -93,6 +93,9 @@ def pentagonal_pyramid():
 # ---------------------------------------------------------------- labels
 
 
+LABEL_RANK = {"zero": 0, "theta": 1, "w": 2, "u": 3, "ubar": 4, "v": 5, "vbar": 6}
+
+
 def test_vertex_label_str_and_order():
     labels = [
         VertexLabel.v(1, 3),
@@ -103,7 +106,8 @@ def test_vertex_label_str_and_order():
         VertexLabel.vbar(2, 4),
         VertexLabel.ubar(2),
     ]
-    ordered = sorted(labels, key=VertexLabel.sort_key)
+    ordered = sorted(labels)
+    assert ordered == sorted(labels, key=lambda x: (LABEL_RANK[x.kind], x.k, x.j))
     assert [str(x) for x in ordered] == [
         "0",
         "theta",
@@ -154,19 +158,18 @@ def _reference_str(kind, j, k):
 
 
 def test_label_value_semantics():
-    rank = {"zero": 0, "theta": 1, "w": 2, "u": 3, "ubar": 4, "v": 5, "vbar": 6}
     for inst in _family_instances():
         grlex = isinstance(inst, dantzigfig.GrlexInstance)
         fam = dantzigfig.FAMILIES["grlex" if grlex else "grevlex"]
         v, ids = fam.vertices(inst), fam.hrep(inst).ids
         labels = v.labels()
-        assert sorted(labels[::-1]) == sorted(labels, key=lambda x: (rank[x.kind], x.k, x.j))
+        assert sorted(labels[::-1]) == sorted(labels, key=lambda x: (LABEL_RANK[x.kind], x.k, x.j))
         for label, coords in v:
             again = VertexLabel(label.kind, label.j, label.k)
             assert again == label and hash(again) == hash(label) and again is not label
             assert str(label) == _reference_str(label.kind, label.j, label.k)
             assert repr(label) == f"<{_reference_str(label.kind, label.j, label.k)}>"
-            assert label.sort_key() == (rank[label.kind], label.k, label.j)
+            assert label[:3] == (LABEL_RANK[label.kind], label.k, label.j)
             assert label != coords and label != tuple(coords)
             assert all(label != fid for fid in ids)
         for fid in ids:
@@ -336,8 +339,8 @@ def test_tangent_cone_square_corner():
     assert sorted(cone.generators) == [(0, 1), (1, 0)]
     assert cone.apex == (0, 0)
     assert len(cone.tight_rows) == 2
-    assert cone.hrep().contains((5, 7))  # cone is unbounded
-    assert not cone.hrep().contains((-1, 0))
+    assert HRep(cone.tight_rows).contains((5, 7))  # cone is unbounded
+    assert not HRep(cone.tight_rows).contains((-1, 0))
 
 
 def test_dantzig_hrep_square():

@@ -16,7 +16,6 @@ from dantzigfig.polytope_graph import (
     combinatorially_equal,
     cut_edges,
     edge_expansion_exact,
-    find_hamiltonian_cycle,
     proper_coloring_search,
     radius_and_diameter,
     verify_coloring,
@@ -81,17 +80,6 @@ def test_verify_hamiltonian():
     assert not verify_hamiltonian(g, cyc[:4])
     assert not verify_hamiltonian(g, ["c0", "c2", "c4", "c1", "c3"])
     assert not verify_hamiltonian(g, cyc[:4] + ["c0"])
-
-
-def test_find_hamiltonian_cycle():
-    found = find_hamiltonian_cycle(complete_graph(6))
-    assert found and verify_hamiltonian(complete_graph(6), found)
-    assert find_hamiltonian_cycle(path_graph(4)) is None
-    # K_{1,3} star has no cycle at all
-    star = PolytopeGraph.from_edges(
-        ["h", "a", "b", "c"], [("h", "a"), ("h", "b"), ("h", "c")]
-    )
-    assert find_hamiltonian_cycle(star) is None
 
 
 def test_verify_coloring():
