@@ -3,16 +3,16 @@
 Matrices are lists of integer rows. One Bareiss elimination gives the rank,
 the pivot columns and, by an integer back substitution, the adjugate and
 determinant, so an inverse is kept as integer rows over one denominator
-(adj·m = det·I) and division is always exact. `fractions.Fraction` appears
-only where a value is not integral: the entries `invert` returns and the
-input of `primitive_row`. There is no floating point in this module.
+(adj·m = det·I) and division is always exact. `primitive` divides an
+integer vector by its gcd. `fractions.Fraction` appears only in the entries
+`invert` returns. There is no floating point in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -118,12 +118,9 @@ def invert(mat: Sequence[Sequence[int]]) -> list[list[Fraction]]:
     return [[Fraction(a, det) for a in row] for row in adj]
 
 
-def primitive_row(entries: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational row by a positive factor to primitive integer form."""
-    fracs = [Fraction(e) for e in entries]
-    if all(f == 0 for f in fracs):
-        raise ValueError("zero row has no primitive form")
-    mult = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * mult) for f in fracs]
+def primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """The integer vector divided by the gcd of its entries."""
     g = gcd(*ints)
-    return tuple(v // g for v in ints)
+    if g == 0:
+        raise ValueError("zero row has no primitive form")
+    return tuple(a // g for a in ints)

@@ -23,6 +23,7 @@ from .polytope_core import (
     FacetId,
     HRep,
     IncidenceMatrix,
+    InfeasibleVertex,
     VRep,
     VertexLabel,
     adjacency_from_incidence,
@@ -120,10 +121,15 @@ def checked_incidence(
     h: HRep, v: VRep, psi: dict[VertexLabel, frozenset[int]]
 ) -> IncidenceMatrix:
     """Symbolic incidence from the tight row indices psi of each vertex,
-    checked bit for bit against the numeric slack computation."""
+    checked bit for bit against the numeric slack computation. A closed-form
+    vertex that the numeric route finds infeasible raises CheckFailed."""
     masks = [sum(1 << f for f in psi[label]) for label in v.labels()]
     symbolic = IncidenceMatrix(v.labels(), list(h.ids), masks)
-    if symbolic.vertex_masks != incidence(h, v).vertex_masks:
+    try:
+        numeric = incidence(h, v).vertex_masks
+    except InfeasibleVertex as exc:
+        raise CheckFailed(f"closed-form vertex infeasible: {exc}") from exc
+    if symbolic.vertex_masks != numeric:
         raise CheckFailed("incidence formula mismatch")
     return symbolic
 

@@ -91,14 +91,11 @@ def write_dot(graph, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
     for label in graph.labels:
         lines.append(f'  "{label}";')
-    seen = set()
-    for i, label in enumerate(graph.labels):
-        for other in graph.neighbors(label):
-            j = graph.index[other]
-            if (min(i, j), max(i, j)) in seen:
-                continue
-            seen.add((min(i, j), max(i, j)))
-            lines.append(f'  "{label}" -- "{other}";')
+    for i, label in enumerate(graph.labels):  # each edge once, from its lower end
+        mask = graph.adj[i]
+        for j in range(i + 1, mask.bit_length()):
+            if mask >> j & 1:
+                lines.append(f'  "{label}" -- "{graph.labels[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

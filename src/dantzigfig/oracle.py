@@ -5,7 +5,9 @@ whose O(d^2) vertices are read off theta and the order alone, each vertex
 a segment member by two separate membership routes that are cross-checked,
 and checked against the inequalities one by one with HRep.contains;
 (2) vertex enumeration of an HRep by double description (Motzkin et al.
-1953; Fukuda & Prodon 1996) in exact integer arithmetic. Both read only
+1953; Fukuda & Prodon 1996) in integers: the stored integer rows are
+homogenized as they are, and a Fraction appears only in a vertex that is
+not a lattice point. Both read only
 theta or the numeric rows, never a closed form, so they catch errors in the
 clever code. Direct enumeration of the segment (enumerate_segment) is the
 tests' referee for the pieces.
@@ -17,9 +19,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, gcd
+from math import comb
 
-from .exactmath import adjugate, bareiss_echelon, primitive_row
+from .exactmath import adjugate, bareiss_echelon, primitive
 from .orders import OrderKind, is_initial_segment_member
 from .polytope_core import CheckFailed, HRep, IncidenceMatrix, VRep, check_theta_entries
 from .polytope_core import UnsupportedDimension, facet_spans_ridge
@@ -173,7 +175,8 @@ def _extreme_rays(h: HRep) -> tuple[tuple[tuple[int, ...], int], ...]:
 
     Incremental double description: start from the simplicial cone of d+1
     linearly independent rows (t >= 0 first), then cut with the remaining
-    rows one at a time. Rays are primitive integer vectors; each carries the
+    rows one at a time. Rays are primitive integer vectors (exactmath.primitive)
+    over the rows (normal, -beta) of h; each carries the
     bitmask of processed rows it is tight on (bit 0 is t >= 0, bit i+1 is
     row i of h). A (+,-) pair makes a new ray only if it passes the
     combinatorial adjacency test: no third ray is tight on every row on
@@ -184,10 +187,7 @@ def _extreme_rays(h: HRep) -> tuple[tuple[tuple[int, ...], int], ...]:
     no caller can change, so the checks of one verify call share one run.
     """
     d = h.dim
-    rows = [(0,) * d + (-1,)] + [
-        tuple(a * beta.denominator for a in normal) + (-beta.numerator,)
-        for normal, beta in h.rows()
-    ]
+    rows = [(0,) * d + (-1,)] + [normal + (-beta,) for normal, beta in h.rows()]
     start = bareiss_echelon(list(zip(*rows)))[1]  # first independent rows
     if len(start) < d + 1:
         raise UnboundedSuspected("the polyhedron contains a line")
@@ -197,7 +197,7 @@ def _extreme_rays(h: HRep) -> tuple[tuple[tuple[int, ...], int], ...]:
     sign = -1 if det > 0 else 1
     every = sum(1 << i for i in start)
     rays = [
-        (primitive_row([sign * a for a in col]), every & ~(1 << i))
+        (primitive([sign * a for a in col]), every & ~(1 << i))
         for col, i in zip(zip(*adj), start)
     ]
     for k in range(len(rows)):
@@ -221,9 +221,8 @@ def _extreme_rays(h: HRep) -> tuple[tuple[tuple[int, ...], int], ...]:
                     continue
                 if sum(z & common == common for z in masks) > 2:
                     continue
-                new = [sp * yn - sn * yp for yp, yn in zip(rp, rn)]
-                g = gcd(*new)
-                kept.append((tuple(y // g for y in new), common | bit))
+                new = primitive([sp * yn - sn * yp for yp, yn in zip(rp, rn)])
+                kept.append((new, common | bit))
         rays = kept
     for ray, _ in rays:
         if ray[d] == 0:

@@ -1,23 +1,23 @@
 """Generic exact polytope machinery.
 
-H- and V-representations with integer normals and exact (integer where
-integral, else rational) right-hand sides, vertex-facet incidence,
-adjacency, tangent cones, the cone-coverage criterion, antipodal pair
-listing, and the two-cone H-representation builder used for Dantzig-figure
-certification, plus the theta check and the CheckFailed error both families
-share. Everything here is dimension-agnostic; the construction recipe the
-families share lives in `family`, their closed forms in the grlex/grevlex
-modules. The functions that read the incidence of (h, v) take it as `inc`.
+H-representations stored as primitive integer rows, V-representations of
+integer vertices, vertex-facet incidence, adjacency, tangent cones, the
+cone-coverage criterion, antipodal pair listing, and the two-cone
+H-representation builder used for Dantzig-figure certification, plus the
+theta check and the CheckFailed error both families share. Everything
+here is dimension-agnostic; the construction recipe the families share
+lives in `family`, their closed forms in the grlex/grevlex modules. The
+functions that read the incidence of (h, v) take it as `inc`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
-from .exactmath import SingularError, adjugate, rank_of_rows
+from .exactmath import SingularError, adjugate, primitive, rank_of_rows
 
 
 class InfeasibleVertex(ValueError):
@@ -180,22 +180,14 @@ class FacetId(tuple):
         return f"<{self}>"
 
 
-def _over_common_denominator(point: Sequence) -> tuple[Sequence[int], int]:
-    """Integer numerators of a rational point and their common denominator."""
-    if all(type(x) is int for x in point):
-        return point, 1
-    den = lcm(*(Fraction(x).denominator for x in point))
-    return [int(x * den) for x in point], den
-
-
 class HRep:
-    """Inequality system A·x <= beta with primitive integer normals.
+    """Inequality system A·x <= beta in primitive integer rows.
 
-    Rows are stored as (normal tuple, rhs); construction rescales each row
-    by a positive rational so the normal is integral with gcd 1: the row is
-    put over a common denominator (a row of ints is left as it is) and the
-    normal divided by its gcd. The rhs is then an int when integral, else a
-    Fraction. ``ids`` optionally names each facet.
+    Rows are stored as (normal tuple, rhs), all ints: construction puts each
+    row (normal, beta) of ints and Fractions over a common denominator and
+    divides it by the gcd of its entries, rhs included, so 2x <= 3 stays
+    (2, 0) <= 3. Raises TypeError on any other entry (a float or a bool) and
+    ValueError on a zero normal. ``ids`` optionally names each facet.
     """
 
     __slots__ = ("normals", "rhs", "ids", "dim", "_ranks")
@@ -206,14 +198,17 @@ class HRep:
         ids: Optional[Sequence[FacetId]] = None,
     ):
         normals: list[tuple[int, ...]] = []
-        rhs: list[int | Fraction] = []
+        rhs: list[int] = []
         for normal, beta in rows:
-            *ints, b = _over_common_denominator((*normal, beta))[0]
-            g = gcd(*ints)
-            if g == 0:
+            row = (*normal, beta)
+            if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for x in row):
+                raise TypeError(f"row entries must be ints or Fractions: {row}")
+            if not any(row[:-1]):
                 raise ValueError("zero row has no primitive form")
-            normals.append(tuple(a // g for a in ints))
-            rhs.append(b // g if b % g == 0 else Fraction(b, g))
+            den = lcm(*(x.denominator for x in row))
+            *a, b = primitive([x.numerator * (den // x.denominator) for x in row])
+            normals.append(tuple(a))
+            rhs.append(b)
         self.normals = tuple(normals)
         self.rhs = tuple(rhs)
         if not normals:
@@ -229,7 +224,7 @@ class HRep:
     def __len__(self) -> int:
         return len(self.normals)
 
-    def rows(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
+    def rows(self) -> list[tuple[tuple[int, ...], int]]:
         return list(zip(self.normals, self.rhs))
 
     def tight_rank(self, mask: int) -> int:
@@ -243,18 +238,11 @@ class HRep:
         return rank
 
     def contains(self, point: Sequence) -> bool:
-        p, den = _over_common_denominator(point)
-        return all(
-            sum(map(mul, n, p)) <= b * den for n, b in zip(self.normals, self.rhs)
-        )
+        return all(sum(map(mul, n, point)) <= b for n, b in zip(self.normals, self.rhs))
 
     def slacks(self, point: Sequence) -> tuple[int | Fraction, ...]:
-        """beta - a·x per row: ints for an integral point and rhs."""
-        p, den = _over_common_denominator(point)
-        dots = (sum(map(mul, n, p)) for n in self.normals)
-        if den > 1:
-            dots = (Fraction(dot, den) for dot in dots)
-        return tuple(b - dot for b, dot in zip(self.rhs, dots))
+        """beta - a·x per row: ints for an integer point, exact on a rational one."""
+        return tuple(b - sum(map(mul, n, point)) for n, b in zip(self.normals, self.rhs))
 
     def same_polytope_rows(self, other: "HRep") -> bool:
         """Equality of the two systems up to row order (rows are canonical)."""
@@ -265,12 +253,16 @@ class HRep:
 
 
 class VRep:
-    """Ordered list of labeled integer vertices."""
+    """Ordered list of labeled integer vertices. Raises TypeError on a
+    coordinate that is not an int (a bool, a float or a Fraction)."""
 
     __slots__ = ("entries", "_by_label")
 
     def __init__(self, entries: Iterable[tuple[object, Sequence[int]]]):
-        ordered = [(label, tuple(int(c) for c in coords)) for label, coords in entries]
+        ordered = [(label, tuple(coords)) for label, coords in entries]
+        for label, coords in ordered:
+            if any(isinstance(c, bool) or not isinstance(c, int) for c in coords):
+                raise TypeError(f"{label}: coordinates must be ints: {coords}")
         labels = [label for label, _ in ordered]
         coords = [c for _, c in ordered]
         if len(set(labels)) != len(labels):
@@ -390,19 +382,13 @@ def adjacency_from_incidence(h: HRep, inc: IncidenceMatrix) -> list[tuple]:
 
 
 class TangentCone:
-    """Vertex cone: apex plus edge-direction generators and tight rows."""
+    """Vertex cone: apex plus edge-direction generators."""
 
-    __slots__ = ("apex", "generators", "tight_rows")
+    __slots__ = ("apex", "generators")
 
-    def __init__(
-        self,
-        apex: tuple[int, ...],
-        generators: list[tuple[int, ...]],
-        tight_rows: list[tuple[tuple[int, ...], int | Fraction]],
-    ):
+    def __init__(self, apex: tuple[int, ...], generators: list[tuple[int, ...]]):
         self.apex = apex
         self.generators = generators
-        self.tight_rows = tight_rows
 
 
 def tangent_cone(h: HRep, v: VRep, label, inc: IncidenceMatrix) -> TangentCone:
@@ -416,13 +402,10 @@ def tangent_cone(h: HRep, v: VRep, label, inc: IncidenceMatrix) -> TangentCone:
 
     Returns:
         TangentCone with generators (neighbor - vertex) for every neighbor in
-        the polytope graph, in vertex order, and the tight inequality rows at
-        the vertex.
+        the polytope graph, in vertex order.
     """
     apex = v.coords(label)
     i = inc.labels.index(label)
-    vm = inc.vertex_masks[i]
-    tight = [(h.normals[f], h.rhs[f]) for f in range(len(h)) if vm >> f & 1]
     generators = [
         tuple(x - y for x, y in zip(v.coords(other), apex))
         for j, other in enumerate(inc.labels)
@@ -430,7 +413,7 @@ def tangent_cone(h: HRep, v: VRep, label, inc: IncidenceMatrix) -> TangentCone:
     ]
     if not generators:
         raise ValueError("vertex has no neighbors")
-    return TangentCone(apex, generators, tight)
+    return TangentCone(apex, generators)
 
 
 def cone_cover_test(inc: IncidenceMatrix, s: Iterable) -> bool:

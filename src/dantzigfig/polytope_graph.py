@@ -66,10 +66,6 @@ class PolytopeGraph:
     def has_edge(self, a, b) -> bool:
         return bool(self.adj[self.index[a]] >> self.index[b] & 1)
 
-    def neighbors(self, label):
-        mask = self.adj[self.index[label]]
-        return [self.labels[i] for i in _bits(mask)]
-
     def degree_multiset(self) -> tuple[int, ...]:
         return tuple(sorted((m.bit_count() for m in self.adj), reverse=True))
 

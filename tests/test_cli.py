@@ -199,6 +199,44 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch):
     assert code == 1 and "verification failed" in err
 
 
+def _clear_family_caches():
+    from dantzigfig import grevlex_family, grlex_family
+
+    for module in (grlex_family, grevlex_family):
+        for function in vars(module).values():
+            if hasattr(function, "cache_clear"):
+                function.cache_clear()
+
+
+@pytest.fixture
+def cold_family_caches():
+    _clear_family_caches()
+    yield
+    _clear_family_caches()  # drop what a patched closed form left cached
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("construct",)] + [("verify", "--suites", s) for s in ("incidence", "dantzig", "graph")],
+)
+def test_an_infeasible_closed_form_vertex_fails_verification(
+    capsys, monkeypatch, cold_family_caches, command
+):
+    from dantzigfig import grlex_family
+
+    v_coords = grlex_family._v_coords
+
+    def shifted(inst, j, k):  # v(1,3) one step past the grading facet
+        x = v_coords(inst, j, k)
+        return (x[0] + 1,) + x[1:] if (j, k) == (1, 3) else x
+
+    monkeypatch.setattr(grlex_family, "_v_coords", shifted)
+    code, _, err = run(capsys, command[0], "--family", "grlex", "--theta", "2,2,2", *command[1:])
+    assert code == cli.EXIT_VERIFY
+    assert err.startswith("verification failed: ") and err.count("\n") == 1
+    assert "v(1,3)" in err
+
+
 @pytest.mark.parametrize("family", ["grlex", "grevlex"])
 def test_verify_computes_the_numeric_incidence_once(capsys, monkeypatch, family):
     from dantzigfig import family as family_module

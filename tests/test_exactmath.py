@@ -1,5 +1,5 @@
 """Exact integer matrix arithmetic: rank, adjugate, inversion, primitive
-scaling."""
+vectors."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -13,7 +13,7 @@ from dantzigfig.exactmath import (
     SingularError,
     adjugate,
     invert,
-    primitive_row,
+    primitive,
     rank_of_rows,
 )
 
@@ -77,12 +77,14 @@ def test_rank_memo_is_keyed_by_the_reduced_system_and_bounded():
     assert memo.cache_info().currsize == size
 
 
-def test_primitive_row():
-    assert primitive_row([F(2, 3), F(4, 3)]) == (1, 2)
-    assert primitive_row([-2, -4, 6]) == (-1, -2, 3)
-    assert primitive_row([F(0), F(5, 7)]) == (0, 1)
-    with pytest.raises(ValueError):
-        primitive_row([0, 0])
+def test_primitive():
+    assert primitive([2, 4]) == (1, 2)
+    assert primitive([-2, -4, 6]) == (-1, -2, 3)
+    assert primitive([0, 5]) == (0, 1)
+    assert primitive((3,)) == (1,) and primitive((-3,)) == (-1,)
+    assert all(type(a) is int for a in primitive([6, 9]))
+    with pytest.raises(ValueError, match="zero row"):
+        primitive([0, 0])
 
 
 entries = st.integers(min_value=-6, max_value=6)

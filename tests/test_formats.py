@@ -44,10 +44,11 @@ def test_ine_round_trip():
     assert back.same_polytope_rows(h)
 
 
-def test_parse_ine_keeps_a_rational_rhs():
+def test_parse_ine_scales_a_rational_row_to_integers():
+    # x <= 1/2 is stored as 2x <= 1
     h = parse_ine("H-representation\nbegin\n 2 2 rational\n 1/2 -1\n 3 1\nend\n")
-    assert h.rhs == (F(1, 2), 3)
-    assert type(h.rhs[0]) is Fraction and type(h.rhs[1]) is int
+    assert h.rows() == [((2,), 1), ((-1,), 3)]
+    assert all(type(a) is int for n, b in h.rows() for a in (*n, b))
 
 
 def test_parse_ine_skips_comments_and_blanks():

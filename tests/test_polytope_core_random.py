@@ -1,9 +1,9 @@
 """The generic layer on random small polytopes, against a naive referee.
 
 Each example is a bounded integer system (x >= 0, sum(x) <= b, and a few
-random rows, some with a rational rhs), scaled so that its vertices,
-enumerated by double description, are lattice points; a rational rhs
-survives on the rows that no vertex is tight on. The referee below uses
+random rows, some with a rational rhs, which `HRep` scales into an integer
+row), scaled so that its vertices, enumerated by double description, are
+lattice points. The referee below uses
 only Fraction arithmetic, `exactmath.rank_of_rows` and every vertex
 pair, which is how the integer routines in `polytope_core` are checked
 on inputs that come from neither family. `facet_spans_ridge` is checked
@@ -12,7 +12,8 @@ on lower-dimensional ones and on both families. `dantzig_hrep` is
 checked on the tangent cones of two simplicial vertices against rows
 solved by Cramer's rule with Leibniz determinants. The
 integer row scaling of `HRep` is checked against a route in Fractions
-throughout on random int and rational rows.
+throughout, scaled to a primitive integer row, on random int, rational and
+mixed rows.
 """
 
 import random
@@ -206,7 +207,7 @@ def test_contains_and_slacks_match_referee(hv, points):
             slacks = ref_slacks(h, point)
             assert h.slacks(point) == slacks
             assert h.contains(point) == all(s >= 0 for s in slacks)
-    assert all(type(b) is int for b in h.rhs if Fraction(b).denominator == 1)
+    assert all(type(b) is int for b in h.rhs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,16 +303,16 @@ def test_dantzig_hrep_matches_referee(hv, data):
 
 
 def fraction_route_row(normal, beta):
-    """Scale a row by a positive rational to a primitive integer normal,
-    in Fractions throughout; the rhs is an int when integral."""
-    fracs = [Fraction(a) for a in normal]
-    if not any(fracs):
+    """Scale the row (normal, beta) by a positive rational to a primitive
+    integer row, in Fractions throughout: first by the lcm of the
+    denominators, then by 1/gcd of the numerators."""
+    fracs = [Fraction(a) for a in (*normal, beta)]
+    if not any(fracs[:-1]):
         raise ValueError("zero row has no primitive form")
-    mult = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * mult) for f in fracs]
-    g = gcd(*ints)
-    beta = Fraction(beta) * mult / g
-    return tuple(v // g for v in ints), beta.numerator if beta.denominator == 1 else beta
+    mult = Fraction(lcm(*(f.denominator for f in fracs)))
+    mult /= gcd(*(int(f * mult) for f in fracs))
+    *ints, b = (int(f * mult) for f in fracs)
+    return tuple(ints), b
 
 
 _int_entry = st.integers(-40, 40)
@@ -335,8 +336,13 @@ def test_row_scaling_matches_the_fraction_route(d, data):
         return
     h = HRep([(normal, beta)])
     assert h.rows() == [expected]
-    assert all(type(a) is int for a in h.normals[0])
-    assert type(h.rhs[0]) is (int if Fraction(expected[1]).denominator == 1 else Fraction)
+    stored = (*h.normals[0], h.rhs[0])
+    assert all(type(a) is int for a in stored) and gcd(*stored) == 1
+    # a positive multiple of the input row
+    row = (*normal, beta)
+    i = next(i for i, a in enumerate(row) if a)
+    assert stored[i] * row[i] > 0
+    assert all(stored[i] * a == row[i] * s for a, s in zip(row, stored))
 
 
 @pytest.mark.parametrize("normal", [(0, 0, 0), (0,), (Fraction(0), 0)])

@@ -8,6 +8,10 @@ except the names in ALLOWED, each with the reason it stays. A function that
 no call reaches and that no reason covers is dead code: delete it, or give
 the reason here. An allowed name must still exist and still go unreached,
 so the list shrinks when the code does.
+
+Likewise every name in a class's `__slots__` must be read: some attribute
+load in the package (`x.name`, found by parsing) names it. A slot that is
+only stored is a field that no code consults.
 """
 
 import ast
@@ -135,3 +139,36 @@ def test_every_function_is_reached_or_allowed():
     assert sorted(set(ALLOWED) - names) == [], "allowed names that no longer exist"
     assert sorted(set(ALLOWED) & reached) == [], "allowed names that a call now reaches"
     assert sorted(names - reached - set(ALLOWED)) == [], "functions no call reaches"
+
+
+def _slot_names():
+    """module.Class.slot for every string in a class's __slots__ tuple."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                if (
+                    isinstance(stmt, ast.Assign)
+                    and [t.id for t in stmt.targets if isinstance(t, ast.Name)] == ["__slots__"]
+                ):
+                    for slot in ast.literal_eval(stmt.value):
+                        out[f"{path.stem}.{node.name}.{slot}"] = slot
+    return out
+
+
+def _loaded_attributes():
+    return {
+        node.attr
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_slot_is_read():
+    slots = _slot_names()
+    assert "polytope_core.HRep.normals" in slots  # the scan finds the slots
+    loaded = _loaded_attributes()
+    assert sorted(name for name, slot in slots.items() if slot not in loaded) == []
