@@ -1,4 +1,4 @@
-"""Serialization: cdd-style .ine/.ext text, Graphviz DOT, and JSON helpers.
+"""Serialization: cdd-style .ine/.ext output, Graphviz DOT, and JSON helpers.
 
 The .ine convention is the usual one: a row "b -a1 ... -ad" encodes the
 inequality a.x <= b. Numbers are integers or p/q rationals. Labels do not
@@ -11,10 +11,6 @@ import json
 from fractions import Fraction
 
 from .polytope_core import FacetId, HRep, VertexLabel
-
-
-class FormatError(ValueError):
-    """Malformed .ine/.ext input."""
 
 
 def _num(x) -> str:
@@ -31,42 +27,6 @@ def write_ine(h: HRep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _token_blocks(text: str, expected_header: str):
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("*")]
-    if not lines or lines[0] != expected_header:
-        raise FormatError(f"missing {expected_header!r} header")
-    try:
-        begin = lines.index("begin")
-        end = lines.index("end")
-    except ValueError as exc:
-        raise FormatError("missing begin/end") from exc
-    if end < begin:
-        raise FormatError("end before begin")
-    try:
-        m, cols = map(int, lines[begin + 1].split()[:2])
-    except ValueError as exc:  # also fewer than two entries
-        raise FormatError(f"malformed size line {lines[begin + 1]!r}") from exc
-    rows = []
-    for ln in lines[begin + 2 : end]:
-        toks = ln.split()
-        if len(toks) != cols:
-            raise FormatError(f"expected {cols} entries per row, got {len(toks)}")
-        try:
-            rows.append([Fraction(t) for t in toks])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"not a number in row {ln!r}") from exc
-    if len(rows) != m:
-        raise FormatError(f"expected {m} rows, got {len(rows)}")
-    return rows
-
-
-def parse_ine(text: str) -> HRep:
-    rows = _token_blocks(text, "H-representation")
-    pairs = [([-a for a in row[1:]], row[0]) for row in rows]
-    return HRep(pairs)
-
-
 def write_ext(v) -> str:
     entries = list(v)
     dim = len(entries[0][1]) if entries else 0
@@ -75,16 +35,6 @@ def write_ext(v) -> str:
         lines.append(" " + " ".join(["1"] + [_num(c) for c in coords]))
     lines.append("end")
     return "\n".join(lines) + "\n"
-
-
-def parse_ext(text: str) -> list[tuple]:
-    rows = _token_blocks(text, "V-representation")
-    points = []
-    for row in rows:
-        if row[0] != 1:
-            raise FormatError("rays are not supported, leading entry must be 1")
-        points.append(tuple(int(c) if c.denominator == 1 else c for c in row[1:]))
-    return points
 
 
 def write_dot(graph, name: str = "G") -> str:

@@ -353,12 +353,16 @@ def incidence(h: HRep, v: VRep) -> IncidenceMatrix:
 
 def _adjacent(h: HRep, inc: IncidenceMatrix, i: int, j: int) -> bool:
     """Whether vertices i and j span an edge: the normals tight at both
-    have rank d-1. A cheap test runs before the rank: the AND of those
-    facets' masks must be {i, j}, since a third vertex on all of them means
-    no edge. For grevlex at d = 16 it rejects 2,730 of the 4,106 pairs
-    with d-1 common facets."""
-    common = inc.vertex_masks[i] & inc.vertex_masks[j]
-    if common.bit_count() < h.dim - 1:
+    have rank d-1. Two mask tests run first: fewer than d-1 common rows
+    means no edge, and so does a third vertex on all of them (the AND of
+    their facet masks must be {i, j}). A survivor with exactly d-1 common
+    rows next to a simple endpoint, one with exactly d tight rows of rank
+    d, is an edge without a rank: those d-1 rows are d independent normals
+    less one, so their rank is d-1. The rank is taken only when no
+    endpoint is simple, and `tight_rank` rereads what `incidence` ranked."""
+    d, masks = h.dim, inc.vertex_masks
+    common = masks[i] & masks[j]
+    if common.bit_count() < d - 1:
         return False
     tight = [f for f in range(len(h)) if common >> f & 1]
     shared = (1 << len(inc.labels)) - 1
@@ -366,7 +370,11 @@ def _adjacent(h: HRep, inc: IncidenceMatrix, i: int, j: int) -> bool:
         shared &= inc.facet_masks[f]
     if shared != 1 << i | 1 << j:
         return False
-    return rank_of_rows([h.normals[f] for f in tight]) == h.dim - 1
+    if len(tight) == d - 1 and any(
+        m.bit_count() == d and h.tight_rank(m) == d for m in (masks[i], masks[j])
+    ):
+        return True
+    return rank_of_rows([h.normals[f] for f in tight]) == d - 1
 
 
 def adjacency_from_incidence(h: HRep, inc: IncidenceMatrix) -> list[tuple]:

@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve numbered criteria, one pass/fail line each.
+"""Acceptance gate: thirteen numbered criteria, one pass/fail line each.
 
 Every criterion prints "[acceptance] C<n> <slug>: PASS|FAIL (…s, cap …s)"
 so the test output doubles as a sign-off checklist. All checks are exact
@@ -10,11 +10,12 @@ Random draws use fixed seeds: reruns exercise identical instances.
 
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from operator import mul
 
-from dantzigfig import FAMILIES, cli
+from dantzigfig import FAMILIES, cli, polytope_core
 from dantzigfig.polytope_core import (
     VertexLabel,
     adjacency_from_incidence,
@@ -33,6 +34,7 @@ from dantzigfig.polytope_graph import (
 )
 from dantzigfig import grlex_family as gl
 from dantzigfig import grevlex_family as gv
+from referees import mask_survivor
 from dantzigfig.oracle import (
     enumerate_segment,
     facet_irredundancy,
@@ -447,4 +449,49 @@ def test_c12_frontier_suites_at_d30(capsys):
         ok = True
     finally:
         _line(capsys, 12, "frontier-suites-at-d30", ok,
+              time.perf_counter() - started, cap)
+
+
+def test_c13_grlex_frontier_suites_at_d40(capsys, monkeypatch):
+    # the frontier suites and the oracle in one verify call at grlex d = 40;
+    # the graph suite takes a rank only at a mask survivor whose endpoints
+    # both have more than d tight rows, since a simple endpoint decides it
+    cap, started, ok = 12.0, time.perf_counter(), False
+    suites = "vertices,facets,incidence,dantzig,graph,oracle"
+    theta = (3, 3, 3) + (2,) * 37
+    graph_suite = cli._suite_graph.__code__
+    rank, graph_ranks = polytope_core.rank_of_rows, 0
+
+    def counted_rank(rows):
+        nonlocal graph_ranks
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not graph_suite:
+            frame = frame.f_back
+        graph_ranks += frame is not None
+        return rank(rows)
+
+    try:
+        gl.grlex_edges.cache_clear()  # so the graph suite derives the edges
+        monkeypatch.setattr(polytope_core, "rank_of_rows", counted_rank)
+        argv = ["verify", "--family", "grlex", "--theta", ",".join(map(str, theta))]
+        code = cli.main(argv + ["--suites", suites])
+        report = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_OK and report["passed"], report
+        assert [s["suite"] for s in report["suites"]] == suites.split(",")
+        fam = FAMILIES["grlex"]
+        inst = fam.make(theta)
+        inc, d = fam.incidence(inst), inst.d
+        masks = inc.vertex_masks
+        degenerate = [i for i, m in enumerate(masks) if m.bit_count() > d]
+        both_degenerate = sum(
+            mask_survivor(inc, i, j)
+            for a, i in enumerate(degenerate)
+            for j in degenerate[a + 1 :]
+            if (masks[i] & masks[j]).bit_count() >= d - 1
+        )
+        assert graph_ranks <= both_degenerate, (graph_ranks, both_degenerate)
+        assert time.perf_counter() - started < cap
+        ok = True
+    finally:
+        _line(capsys, 13, "grlex-frontier-suites-at-d40", ok,
               time.perf_counter() - started, cap)

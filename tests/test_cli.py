@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from dantzigfig import cli
-from dantzigfig.formats import parse_ext, parse_ine
 from dantzigfig.grlex_family import grlex_hrep, grlex_vertices, make_grlex
+from referees import parse_ext, parse_ine
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -5,18 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from dantzigfig.formats import (
-    FormatError,
-    dump_report,
-    jsonable,
-    parse_ext,
-    parse_ine,
-    write_dot,
-    write_ext,
-    write_ine,
-)
+from dantzigfig.formats import dump_report, jsonable, write_dot, write_ext, write_ine
 from dantzigfig.grlex_family import grlex_graph, grlex_hrep, grlex_vertices, make_grlex
 from dantzigfig.polytope_core import FacetId, HRep, VRep, VertexLabel
+from referees import FormatError, parse_ext, parse_ine
 
 F = Fraction
 

@@ -7,6 +7,7 @@ usefully, no antipodal vertex pair at all.
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from dantzigfig.polytope_core import (
     list_antipodal_pairs,
     tangent_cone,
 )
+from referees import adjacency_by_rank, mask_survivor
 
 F = Fraction
 
@@ -434,26 +436,78 @@ def test_tangent_cone_skips_a_mask_only_pair():
 
 def test_rank_test_runs_only_on_mask_survivors(monkeypatch):
     # 47 pairs share d-1 = 4 facets but only 45 are edges; with a complete
-    # vertex list the facet masks reject the other 2, so the rank test runs
-    # once per edge
+    # vertex list the facet masks reject the other 2. Of the 45 survivors,
+    # those with a simple endpoint (exactly d tight rows) are edges without
+    # a rank, so the rank test runs once per survivor whose two endpoints
+    # are both degenerate
     from dantzigfig import polytope_core
 
     fam = dantzigfig.FAMILIES["grevlex"]
     inst = fam.make((3, 2, 2, 2, 2))
     h, v = fam.hrep(inst), fam.vertices(inst)
     inc = incidence(h, v)
-    masks = inc.vertex_masks
+    d, masks = h.dim, inc.vertex_masks
     candidates = [
         (i, j)
         for i in range(len(masks))
         for j in range(i + 1, len(masks))
-        if (masks[i] & masks[j]).bit_count() >= h.dim - 1
+        if (masks[i] & masks[j]).bit_count() >= d - 1
     ]
     assert len(candidates) == 47
+    survivors = [(i, j) for i, j in candidates if mask_survivor(inc, i, j)]
+    degenerate = [
+        (i, j) for i, j in survivors if min(masks[i].bit_count(), masks[j].bit_count()) > d
+    ]
+    assert len(survivors) == 45 and len(degenerate) == 8
     calls = []
     rank = polytope_core.rank_of_rows
     monkeypatch.setattr(
         polytope_core, "rank_of_rows", lambda rows: calls.append(rows) or rank(rows)
     )
     edges = adjacency_from_incidence(h, inc)
-    assert len(edges) == fam.edge_count(inst) == len(calls)
+    assert len(edges) == fam.edge_count(inst) == len(survivors)
+    assert len(calls) == len(degenerate)
+
+
+# The cube's rows: 0: -x <= 0, 1: x <= 1, 2: -y <= 0, 3: y <= 1, 4: -z <= 0,
+# 5: z <= 1. In each hand-built incidence below, a has exactly d tight rows
+# and shares at least d-1 of them with b, but (a, b) is no edge.
+HAND_BUILT = {
+    # a's three rows have rank 2; the common rows -x, x have rank 1
+    "d-bit-mask-of-rank-below-d": [0b000111, 0b010011],
+    # all of a's rows are tight at b too, so the common rows have rank d
+    "b-holds-all-of-a": [0b010101, 0b110101],
+    # a third vertex on the rows -y, -z that a and b share
+    "third-vertex-on-common-rows": [0b010101, 0b010110, 0b011100],
+}
+
+
+@pytest.mark.parametrize("masks", HAND_BUILT.values(), ids=HAND_BUILT)
+def test_hand_built_incidence_matches_the_rank_referee(masks):
+    h, _ = unit_cube()
+    labels = ["a", "b", "c"][: len(masks)]
+    inc = IncidenceMatrix(labels, list(range(len(h))), masks)
+    assert masks[0].bit_count() == h.dim <= (masks[0] & masks[1]).bit_count() + 1
+    assert adjacency_from_incidence(h, inc) == adjacency_by_rank(h, inc)
+    assert ("a", "b") not in adjacency_from_incidence(h, inc)
+
+
+def _referee_thetas(seed):
+    """A seeded theta per family and d = 3..20, and a merged grlex theta
+    (theta_k = 1 for some k >= 3) per d."""
+    rng = random.Random(seed)
+    for d in range(3, 21):
+        yield "grevlex", tuple(rng.randint(1, 3) for _ in range(d))
+        yield "grlex", tuple(rng.randint(2, 3) for _ in range(d))
+        theta = [rng.randint(2, 3) for _ in range(d)]
+        for k in rng.sample(range(2, d), rng.randint(1, d - 2)):
+            theta[k] = 1
+        yield "grlex", tuple(theta)
+
+
+def test_adjacency_matches_the_rank_referee_on_the_families():
+    for name, theta in _referee_thetas(21):
+        fam = dantzigfig.FAMILIES[name]
+        inst = fam.make(theta)
+        h, inc = fam.hrep(inst), fam.incidence(inst)
+        assert adjacency_from_incidence(h, inc) == adjacency_by_rank(h, inc), (name, theta)

@@ -40,9 +40,6 @@ ALLOWED = {
     "tuple subclass",
     "polytope_graph.ExpansionResult.__eq__": "the tests compare the exact "
     "expansion with their brute-force referee",
-    "formats.parse_ine": "library I/O: reads a cdd .ine file; no command reads files",
-    "formats.parse_ext": "library I/O: reads a cdd .ext file; no command reads files",
-    "formats._token_blocks": "the tokenizer of parse_ine and parse_ext",
     "family.Family.edges": "library API: the closed-form edge list; the "
     "commands read the edges through Family.graph",
     "polytope_graph.cut_edges": "scripts/expansion_scan.py imports it",
