@@ -56,10 +56,14 @@ def bareiss_echelon(mat: Sequence[Sequence[int]]) -> tuple[list, list[int], int]
     return m, pivots, sign
 
 
-# Reduced systems whose rank the memo keeps. In a verify call of the frontier
-# suites at d = 40, theta = (3,3,3,2,...,2), this many keep 99.8 % (grlex) and
-# all but one (grevlex) of the hits of an unbounded memo, which holds every
-# distinct system of the call: grevlex peak RSS 37 -> 115 MiB.
+# Reduced systems whose rank the memo keeps. Adjacency takes no rank, so the
+# memo serves the vertex certificates of `incidence` alone: the oracle's
+# check (d) rereads them through HRep.tight_rank. In a verify call of the
+# frontier suites at d = 40, theta = (3,3,3,2,...,2), the 821 grlex
+# certificates reduce to 80 distinct systems, so this many keep all 741 hits
+# of an unbounded memo; the 821 grevlex systems are all distinct, so no size
+# gets a hit there, and an unbounded memo would keep them all: peak RSS
+# 32.8 -> 35.5 MiB.
 RANK_MEMO_SIZE = 256
 
 

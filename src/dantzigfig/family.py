@@ -17,6 +17,7 @@ from operator import mul
 from typing import Optional
 
 from . import polytope_graph as pg
+from .oracle import hull_vertices_by_basis
 from .orders import OrderKind
 from .polytope_core import (
     CheckFailed,
@@ -121,8 +122,11 @@ def checked_incidence(
     h: HRep, v: VRep, psi: dict[VertexLabel, frozenset[int]]
 ) -> IncidenceMatrix:
     """Symbolic incidence from the tight row indices psi of each vertex,
-    checked bit for bit against the numeric slack computation. A closed-form
-    vertex that the numeric route finds infeasible raises CheckFailed."""
+    checked bit for bit against the numeric slack computation, on a vertex
+    list that the double-description run of h certifies complete, so that
+    the adjacency and the facet test read the masks alone. A closed-form
+    vertex that the numeric route finds infeasible, and a vertex the list
+    misses, raise CheckFailed."""
     masks = [sum(1 << f for f in psi[label]) for label in v.labels()]
     symbolic = IncidenceMatrix(v.labels(), list(h.ids), masks)
     try:
@@ -131,6 +135,8 @@ def checked_incidence(
         raise CheckFailed(f"closed-form vertex infeasible: {exc}") from exc
     if symbolic.vertex_masks != numeric:
         raise CheckFailed("incidence formula mismatch")
+    if hull_vertices_by_basis(h) != v.coordinate_set():
+        raise CheckFailed("closed-form vertex list is not the vertex set of the rows")
     return symbolic
 
 
@@ -139,12 +145,13 @@ def _sorted_pairs(pairs) -> list[tuple[VertexLabel, VertexLabel]]:
 
 
 def checked_edges(
-    pairs, h: HRep, inc: IncidenceMatrix
+    pairs, inc: IncidenceMatrix, d: int
 ) -> tuple[tuple[VertexLabel, VertexLabel], ...]:
     """The closed-form edge pairs, sorted, checked equal to the adjacency
-    derived from the incidence."""
+    derived from the incidence, whose vertex list checked_incidence
+    certified complete."""
     closed = _sorted_pairs(pairs)
-    if closed != _sorted_pairs(adjacency_from_incidence(h, inc)):
+    if closed != _sorted_pairs(adjacency_from_incidence(inc, d)):
         raise CheckFailed("edge list disagrees with incidence adjacency")
     return tuple(closed)
 
@@ -190,9 +197,6 @@ class Family:
 
     def incidence(self, inst: ThetaInstance) -> IncidenceMatrix:
         return self._public(f"{self.name}_incidence")(inst)
-
-    def edges(self, inst: ThetaInstance) -> tuple[tuple[VertexLabel, VertexLabel], ...]:
-        return self._public(f"{self.name}_edges")(inst)
 
     def graph(self, inst: ThetaInstance) -> pg.PolytopeGraph:
         return self._public(f"{self.name}_graph")(inst)

@@ -214,7 +214,7 @@ def grevlex_edges(inst: GrevlexInstance) -> tuple[tuple[VertexLabel, VertexLabel
         for j1 in range(1, k - 1):
             for j2 in range(j1 + 1, k - 1):
                 add(VB(j1, k), VB(j2, k))
-    return checked_edges(edges, grevlex_hrep(inst), grevlex_incidence(inst))
+    return checked_edges(edges, grevlex_incidence(inst), inst.d)
 
 
 def grevlex_graph(inst: GrevlexInstance) -> pg.PolytopeGraph:

@@ -261,7 +261,7 @@ def grlex_edges(inst: GrlexInstance) -> tuple[tuple[VertexLabel, VertexLabel], .
         a, b = relabel.get(a, a), relabel.get(b, b)
         if a != b:
             pairs.add(frozenset((a, b)))
-    return checked_edges(pairs, grlex_hrep(inst), grlex_incidence(inst))
+    return checked_edges(pairs, grlex_incidence(inst), inst.d)
 
 
 def grlex_graph(inst: GrlexInstance) -> pg.PolytopeGraph:

@@ -351,41 +351,34 @@ def incidence(h: HRep, v: VRep) -> IncidenceMatrix:
     return IncidenceMatrix(labels, ids, masks)
 
 
-def _adjacent(h: HRep, inc: IncidenceMatrix, i: int, j: int) -> bool:
-    """Whether vertices i and j span an edge: the normals tight at both
-    have rank d-1. Two mask tests run first: fewer than d-1 common rows
-    means no edge, and so does a third vertex on all of them (the AND of
-    their facet masks must be {i, j}). A survivor with exactly d-1 common
-    rows next to a simple endpoint, one with exactly d tight rows of rank
-    d, is an edge without a rank: those d-1 rows are d independent normals
-    less one, so their rank is d-1. The rank is taken only when no
-    endpoint is simple, and `tight_rank` rereads what `incidence` ranked."""
-    d, masks = h.dim, inc.vertex_masks
-    common = masks[i] & masks[j]
+def _adjacent(inc: IncidenceMatrix, d: int, i: int, j: int) -> bool:
+    """Whether vertices i and j span an edge of the polytope in R^d that
+    inc's rows define; inc's vertex list must be complete. The rows tight
+    at both cut out the smallest face that holds both, so i and j are
+    adjacent iff no third vertex lies on all of them (Ziegler, Lectures on
+    Polytopes, ch. 2): the AND of their facet masks is {i, j}. The rows
+    tight on an edge have rank d-1, so a pair with fewer than d-1 rows in
+    common is rejected by its count first."""
+    common = inc.vertex_masks[i] & inc.vertex_masks[j]
     if common.bit_count() < d - 1:
         return False
-    tight = [f for f in range(len(h)) if common >> f & 1]
     shared = (1 << len(inc.labels)) - 1
-    for f in tight:
-        shared &= inc.facet_masks[f]
-    if shared != 1 << i | 1 << j:
-        return False
-    if len(tight) == d - 1 and any(
-        m.bit_count() == d and h.tight_rank(m) == d for m in (masks[i], masks[j])
-    ):
-        return True
-    return rank_of_rows([h.normals[f] for f in tight]) == d - 1
+    for f, fm in enumerate(inc.facet_masks):
+        if common >> f & 1:
+            shared &= fm
+    return shared == 1 << i | 1 << j
 
 
-def adjacency_from_incidence(h: HRep, inc: IncidenceMatrix) -> list[tuple]:
-    """Vertex adjacency (see _adjacent) over all pairs. Returns unordered
-    label pairs, deterministic order."""
+def adjacency_from_incidence(inc: IncidenceMatrix, d: int) -> list[tuple]:
+    """Vertex adjacency (see _adjacent) of the polytope in R^d that inc's
+    rows define, over all pairs; inc's vertex list must be complete.
+    Returns unordered label pairs, deterministic order."""
     n = len(inc.labels)
     return [
         (inc.labels[i], inc.labels[j])
         for i in range(n)
         for j in range(i + 1, n)
-        if _adjacent(h, inc, i, j)
+        if _adjacent(inc, d, i, j)
     ]
 
 
@@ -399,14 +392,13 @@ class TangentCone:
         self.generators = generators
 
 
-def tangent_cone(h: HRep, v: VRep, label, inc: IncidenceMatrix) -> TangentCone:
+def tangent_cone(v: VRep, label, inc: IncidenceMatrix) -> TangentCone:
     """Cone of the polytope at one vertex.
 
     Args:
-        h: facet system of the polytope.
-        v: its labeled vertex list.
+        v: its labeled vertex list, which must be complete.
         label: which vertex; UnknownLabel if absent.
-        inc: the incidence of (h, v).
+        inc: the incidence of v on the polytope's rows.
 
     Returns:
         TangentCone with generators (neighbor - vertex) for every neighbor in
@@ -417,7 +409,7 @@ def tangent_cone(h: HRep, v: VRep, label, inc: IncidenceMatrix) -> TangentCone:
     generators = [
         tuple(x - y for x, y in zip(v.coords(other), apex))
         for j, other in enumerate(inc.labels)
-        if j != i and _adjacent(h, inc, i, j)
+        if j != i and _adjacent(inc, len(apex), i, j)
     ]
     if not generators:
         raise ValueError("vertex has no neighbors")

@@ -1,7 +1,8 @@
 """Referees that only the tests read: the cdd text parsers, which read back
 what `formats.write_ine` / `write_ext` print, and the adjacency test that
 takes a rank on every pair the facet masks leave, which
-`polytope_core._adjacent` skips next to a simple vertex."""
+`polytope_core._adjacent` does without on a certified-complete vertex
+list."""
 
 from fractions import Fraction
 

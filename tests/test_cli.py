@@ -459,6 +459,36 @@ def test_bad_input_exits_2(capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize("token", ["1_0", "+2", "٢", "²"])
+def test_theta_takes_ascii_digits_only(capsys, token):
+    # int() reads 1_0 as 10, +2 as 2 and the Arabic-Indic digit two as 2;
+    # the superscript two passes str.isdigit() but is no ASCII digit
+    code, out, err = run(capsys, "construct", "--family", "grlex", "--theta", f"{token},2,2")
+    assert code == 2 and not out
+    assert err.startswith("error: theta must be comma-separated integers")
+
+
+@pytest.mark.parametrize("command", ["verify", "graph"])
+@pytest.mark.parametrize("token", ["2_4", "+24", "٢٤"])
+def test_expansion_max_n_takes_ascii_digits_only(capsys, command, token):
+    code, out, err = run(
+        capsys, command, "--family", "grlex", "--theta", "2,2,2",
+        "--expansion-max-n", token,
+    )
+    assert code == 2 and not out
+    assert "must be an integer >= 0" in err
+
+
+def test_numbers_may_keep_surrounding_spaces(capsys):
+    code, out, _ = run(
+        capsys, "graph", "--family", "grlex", "--theta", " 2, 2 ,2 ",
+        "--format", "json", "--expansion-max-n", " 7 ",
+    )
+    report = json.loads(out)
+    assert code == 0 and report["theta"] == [2, 2, 2]
+    assert report["edge_expansion"] is not None
+
+
 def test_help_exits_0(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "construct" in out

@@ -42,7 +42,6 @@ def test_registry_names_kinds_and_cli_choices(capsys):
         (gl, "grlex", "incidence"),
         (gl, "grlex", "hamiltonian_cycle"),
         (gv, "grevlex", "vertices"),
-        (gv, "grevlex", "edges"),
         (gv, "grevlex", "graph"),
         (gv, "grevlex", "coloring"),
     ],

@@ -13,9 +13,11 @@ from fractions import Fraction
 import pytest
 
 import dantzigfig
+from dantzigfig.family import checked_incidence
 from dantzigfig.grevlex_family import make_grevlex
 from dantzigfig.grlex_family import make_grlex
 from dantzigfig.polytope_core import (
+    CheckFailed,
     EmptySet,
     FacetId,
     HRep,
@@ -33,7 +35,7 @@ from dantzigfig.polytope_core import (
     list_antipodal_pairs,
     tangent_cone,
 )
-from referees import adjacency_by_rank, mask_survivor
+from referees import adjacency_by_rank
 
 F = Fraction
 
@@ -289,7 +291,7 @@ def test_incidence_rejects_non_vertex():
 def test_adjacency_unit_cube():
     h, v = unit_cube()
     inc = incidence(h, v)
-    edges = adjacency_from_incidence(h, inc)
+    edges = adjacency_from_incidence(inc, h.dim)
     assert len(edges) == 12
     deg = {}
     for a, b in edges:
@@ -306,7 +308,7 @@ def test_pyramid_incidence_and_apex_degeneracy():
     apex_mask = inc.vertex_masks[v.labels().index("apex")]
     assert apex_mask.bit_count() == 5  # all side facets, not the base
     assert not apex_mask & 1
-    edges = adjacency_from_incidence(h, inc)
+    edges = adjacency_from_incidence(inc, h.dim)
     assert len(edges) == 10  # 5 base edges + 5 slant edges
 
 
@@ -352,7 +354,7 @@ def test_cone_cover_unit_square():
 
 def test_tangent_cone_square_corner():
     h, v = unit_square()
-    cone = tangent_cone(h, v, "00", incidence(h, v))
+    cone = tangent_cone(v, "00", incidence(h, v))
     assert sorted(cone.generators) == [(0, 1), (1, 0)]
     assert cone.apex == (0, 0)
 
@@ -360,8 +362,8 @@ def test_tangent_cone_square_corner():
 def test_dantzig_hrep_square():
     h, v = unit_square()
     inc = incidence(h, v)
-    cu = tangent_cone(h, v, "00", inc)
-    cv = tangent_cone(h, v, "11", inc)
+    cu = tangent_cone(v, "00", inc)
+    cv = tangent_cone(v, "11", inc)
     rebuilt = dantzig_hrep(cu, cv)
     assert rebuilt.same_polytope_rows(h)
 
@@ -369,8 +371,8 @@ def test_dantzig_hrep_square():
 def test_dantzig_hrep_rejects_non_simplicial():
     h, v = pentagonal_pyramid()
     inc = incidence(h, v)
-    apex_cone = tangent_cone(h, v, "apex", inc)  # 5 generators in R^3
-    base_cone = tangent_cone(h, v, "b0", inc)
+    apex_cone = tangent_cone(v, "apex", inc)  # 5 generators in R^3
+    base_cone = tangent_cone(v, "b0", inc)
     with pytest.raises(NonSimplicialCone):
         dantzig_hrep(apex_cone, base_cone)
 
@@ -401,82 +403,46 @@ def test_exported_theta_errors_catch_both_families(make):
         make((1, 1))
 
 
-# ------------------------------------------- the rank test behind the masks
+# ------------------------------------- masks on a certified-complete list
 
 
 def cube_missing_two_vertices():
     """The unit cube with z <= 1 also given as 2z <= 2, listed without
     (1,0,1) and (0,1,1). The pair (0,0,1), (1,1,1) then passes the
     facet-mask test, but its common rows (the two copies of z <= 1) have
-    rank 1."""
+    rank 1: on an incomplete list the masks alone take a non-edge."""
     h, v = unit_cube()
-    h = HRep(h.rows() + [((0, 0, 2), 2)])
+    h = HRep(h.rows() + [((0, 0, 2), 2)], ids=list(range(len(h) + 1)))
     v = VRep([(label, c) for label, c in v if label not in ("101", "011")])
     return h, v
 
 
-def test_rank_test_rejects_a_mask_only_pair():
+def tight_rows(inc):
+    """Label -> the row indices tight there, the psi of checked_incidence."""
+    return {
+        label: frozenset(f for f in range(len(inc.facet_ids)) if m >> f & 1)
+        for label, m in zip(inc.labels, inc.vertex_masks)
+    }
+
+
+def test_checked_incidence_rejects_an_incomplete_vertex_list():
     h, v = cube_missing_two_vertices()
     inc = incidence(h, v)
-    i, j = v.labels().index("001"), v.labels().index("111")
-    common = inc.vertex_masks[i] & inc.vertex_masks[j]
-    shared = [fm for f, fm in enumerate(inc.facet_masks) if common >> f & 1]
-    assert all(fm == 1 << i | 1 << j for fm in shared)  # the masks pass
-    edges = {frozenset(e) for e in adjacency_from_incidence(h, inc)}
-    assert frozenset(("001", "111")) not in edges
-    assert len(edges) == 6
-
-
-def test_tangent_cone_skips_a_mask_only_pair():
-    h, v = cube_missing_two_vertices()
-    cone = tangent_cone(h, v, "001", incidence(h, v))
-    assert (1, 1, 0) not in cone.generators
-    assert cone.generators == [(0, 0, -1)]
-
-
-def test_rank_test_runs_only_on_mask_survivors(monkeypatch):
-    # 47 pairs share d-1 = 4 facets but only 45 are edges; with a complete
-    # vertex list the facet masks reject the other 2. Of the 45 survivors,
-    # those with a simple endpoint (exactly d tight rows) are edges without
-    # a rank, so the rank test runs once per survivor whose two endpoints
-    # are both degenerate
-    from dantzigfig import polytope_core
-
-    fam = dantzigfig.FAMILIES["grevlex"]
-    inst = fam.make((3, 2, 2, 2, 2))
-    h, v = fam.hrep(inst), fam.vertices(inst)
-    inc = incidence(h, v)
-    d, masks = h.dim, inc.vertex_masks
-    candidates = [
-        (i, j)
-        for i in range(len(masks))
-        for j in range(i + 1, len(masks))
-        if (masks[i] & masks[j]).bit_count() >= d - 1
-    ]
-    assert len(candidates) == 47
-    survivors = [(i, j) for i, j in candidates if mask_survivor(inc, i, j)]
-    degenerate = [
-        (i, j) for i, j in survivors if min(masks[i].bit_count(), masks[j].bit_count()) > d
-    ]
-    assert len(survivors) == 45 and len(degenerate) == 8
-    calls = []
-    rank = polytope_core.rank_of_rows
-    monkeypatch.setattr(
-        polytope_core, "rank_of_rows", lambda rows: calls.append(rows) or rank(rows)
-    )
-    edges = adjacency_from_incidence(h, inc)
-    assert len(edges) == fam.edge_count(inst) == len(survivors)
-    assert len(calls) == len(degenerate)
+    assert ("001", "111") in adjacency_from_incidence(inc, h.dim)
+    # every listed point is a vertex with the right tight rows, so only
+    # the double-description run sees the two that are missing
+    with pytest.raises(CheckFailed, match="vertex list"):
+        checked_incidence(h, v, tight_rows(inc))
+    full = unit_cube()[1]
+    inc = incidence(h, full)
+    assert checked_incidence(h, full, tight_rows(inc)).vertex_masks == inc.vertex_masks
+    assert len(adjacency_from_incidence(inc, h.dim)) == 12
 
 
 # The cube's rows: 0: -x <= 0, 1: x <= 1, 2: -y <= 0, 3: y <= 1, 4: -z <= 0,
 # 5: z <= 1. In each hand-built incidence below, a has exactly d tight rows
 # and shares at least d-1 of them with b, but (a, b) is no edge.
 HAND_BUILT = {
-    # a's three rows have rank 2; the common rows -x, x have rank 1
-    "d-bit-mask-of-rank-below-d": [0b000111, 0b010011],
-    # all of a's rows are tight at b too, so the common rows have rank d
-    "b-holds-all-of-a": [0b010101, 0b110101],
     # a third vertex on the rows -y, -z that a and b share
     "third-vertex-on-common-rows": [0b010101, 0b010110, 0b011100],
 }
@@ -488,8 +454,8 @@ def test_hand_built_incidence_matches_the_rank_referee(masks):
     labels = ["a", "b", "c"][: len(masks)]
     inc = IncidenceMatrix(labels, list(range(len(h))), masks)
     assert masks[0].bit_count() == h.dim <= (masks[0] & masks[1]).bit_count() + 1
-    assert adjacency_from_incidence(h, inc) == adjacency_by_rank(h, inc)
-    assert ("a", "b") not in adjacency_from_incidence(h, inc)
+    assert adjacency_from_incidence(inc, h.dim) == adjacency_by_rank(h, inc)
+    assert ("a", "b") not in adjacency_from_incidence(inc, h.dim)
 
 
 def _referee_thetas(seed):
@@ -510,4 +476,4 @@ def test_adjacency_matches_the_rank_referee_on_the_families():
         fam = dantzigfig.FAMILIES[name]
         inst = fam.make(theta)
         h, inc = fam.hrep(inst), fam.incidence(inst)
-        assert adjacency_from_incidence(h, inc) == adjacency_by_rank(h, inc), (name, theta)
+        assert adjacency_from_incidence(inc, h.dim) == adjacency_by_rank(h, inc), (name, theta)

@@ -218,14 +218,14 @@ def test_incidence_and_adjacency_match_referee(hv):
     assert inc.vertex_masks == [
         sum(1 << f for f in ref_tight(h, c)) for _, c in v
     ]
-    assert adjacency_from_incidence(h, inc) == ref_edges(h, v)
+    assert adjacency_from_incidence(inc, h.dim) == ref_edges(h, v)
     for i, label in enumerate(v.labels()):
         expected = ref_generators(h, v, i)
         if expected:
-            assert tangent_cone(h, v, label, inc).generators == expected
+            assert tangent_cone(v, label, inc).generators == expected
         else:
             with pytest.raises(ValueError):
-                tangent_cone(h, v, label, inc)
+                tangent_cone(v, label, inc)
 
 
 _LOWER_DIMENSIONAL = [
@@ -283,7 +283,7 @@ def test_dantzig_hrep_matches_referee(hv, data):
     h, v = hv
     inc = incidence(h, v)
     cones = [
-        tangent_cone(h, v, label, inc)
+        tangent_cone(v, label, inc)
         for i, label in enumerate(v.labels())
         if ref_generators(h, v, i)
     ]

@@ -40,8 +40,6 @@ ALLOWED = {
     "tuple subclass",
     "polytope_graph.ExpansionResult.__eq__": "the tests compare the exact "
     "expansion with their brute-force referee",
-    "family.Family.edges": "library API: the closed-form edge list; the "
-    "commands read the edges through Family.graph",
     "polytope_graph.cut_edges": "scripts/expansion_scan.py imports it",
     "exactmath.invert": "perfbench/traced_call.py wraps it, and it is the "
     "tests' inverse referee",
