@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb
+from operator import mul
 
 from .exactmath import adjugate, bareiss_echelon, primitive
 from .orders import OrderKind, is_initial_segment_member
@@ -171,18 +172,23 @@ def segment_pieces(
 
 @lru_cache(maxsize=1)
 def _extreme_rays(h: HRep) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Extreme rays of the cone {(x,t) : a·x - beta·t <= 0 per row, t >= 0}.
+    """Extreme rays of the cone {(x,t) : a·x - beta·t <= 0 per row, t >= 0}
+    over the rows (a, beta) of any HRep h; no vertex list is read.
 
-    Incremental double description: start from the simplicial cone of d+1
-    linearly independent rows (t >= 0 first), then cut with the remaining
-    rows one at a time. Rays are primitive integer vectors (exactmath.primitive)
-    over the rows (normal, -beta) of h; each carries the
-    bitmask of processed rows it is tight on (bit 0 is t >= 0, bit i+1 is
-    row i of h). A (+,-) pair makes a new ray only if it passes the
-    combinatorial adjacency test: no third ray is tight on every row on
-    which both rays of the pair are tight. Raises UnboundedSuspected when
-    the rows have rank below d+1 (the polyhedron contains a line) or a ray
-    has t = 0 (a recession direction), so each ray (x, t) is a vertex x/t.
+    Incremental double description over the rows (normal, -beta) of h:
+    start from the simplicial cone of d+1 linearly independent rows (t >= 0
+    first), then cut with the remaining rows one at a time in lexmin order,
+    i.e. sorted as integer tuples (cdd's default; Fukuda & Prodon 1996).
+    The order reads only the numeric rows, so every HRep gets the same rule.
+    Rays are primitive integer vectors (exactmath.primitive); each carries
+    the bitmask of processed rows it is tight on (bit 0 is t >= 0, bit i+1
+    is row i of h). Each row splits the rays once into (+), (-) and 0, and
+    a (+,-) pair makes a new ray only if it passes the combinatorial
+    adjacency test: no third ray is tight on every row on which both rays
+    of the pair are tight. The ray set does not depend on the order; the
+    order of the returned tuple does. Raises UnboundedSuspected when the
+    rows have rank below d+1 (the polyhedron contains a line) or a ray has
+    t = 0 (a recession direction), so each ray (x, t) is a vertex x/t.
     The last run is cached by HRep identity (HRep has no __eq__) as a tuple
     no caller can change, so the checks of one verify call share one run.
     """
@@ -200,21 +206,22 @@ def _extreme_rays(h: HRep) -> tuple[tuple[tuple[int, ...], int], ...]:
         (primitive([sign * a for a in col]), every & ~(1 << i))
         for col, i in zip(zip(*adj), start)
     ]
-    for k in range(len(rows)):
-        if k in start:
-            continue
-        bit = 1 << k
-        side = [sum(a * y for a, y in zip(rows[k], ray)) for ray, _ in rays]
+    rest = sorted(set(range(len(rows))).difference(start), key=rows.__getitem__)
+    for k in rest:
+        bit, row = 1 << k, rows[k]
+        plus, minus, kept = [], [], []
+        for ray, z in rays:
+            s = sum(map(mul, row, ray))
+            if s > 0:
+                plus.append((ray, z, s))
+            elif s < 0:
+                minus.append((ray, z, s))
+                kept.append((ray, z))
+            else:
+                kept.append((ray, z | bit))
         masks = [z for _, z in rays]
-        kept = [
-            (ray, z | bit if s == 0 else z) for (ray, z), s in zip(rays, side) if s <= 0
-        ]
-        for (rp, zp), sp in zip(rays, side):
-            if sp <= 0:
-                continue
-            for (rn, zn), sn in zip(rays, side):
-                if sn >= 0:
-                    continue
+        for rp, zp, sp in plus:
+            for rn, zn, sn in minus:
                 common = zp & zn
                 # a 2-face of the (d+1)-space cone is cut out by >= d-1 rows
                 if common.bit_count() < d - 1:

@@ -18,6 +18,7 @@ from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .exactmath import SingularError, adjugate, primitive, rank_of_rows
+from .polytope_graph import _bits
 
 
 class InfeasibleVertex(ValueError):
@@ -351,35 +352,110 @@ def incidence(h: HRep, v: VRep) -> IncidenceMatrix:
     return IncidenceMatrix(labels, ids, masks)
 
 
-def _adjacent(inc: IncidenceMatrix, d: int, i: int, j: int) -> bool:
-    """Whether vertices i and j span an edge of the polytope in R^d that
-    inc's rows define; inc's vertex list must be complete. The rows tight
-    at both cut out the smallest face that holds both, so i and j are
-    adjacent iff no third vertex lies on all of them (Ziegler, Lectures on
-    Polytopes, ch. 2): the AND of their facet masks is {i, j}. The rows
-    tight on an edge have rank d-1, so a pair with fewer than d-1 rows in
-    common is rejected by its count first."""
-    common = inc.vertex_masks[i] & inc.vertex_masks[j]
-    if common.bit_count() < d - 1:
-        return False
-    shared = (1 << len(inc.labels)) - 1
-    for f, fm in enumerate(inc.facet_masks):
-        if common >> f & 1:
-            shared &= fm
-    return shared == 1 << i | 1 << j
+def _neighbours(inc: IncidenceMatrix, d: int, i: int, among: int) -> int:
+    """The neighbours of vertex i among the vertices in the bitmask among, as
+    a bitmask: the j that pass the pairwise test of adjacency_from_incidence
+    in R^d, on any incidence inc. They are i's neighbours on the polytope
+    when inc's vertex list is complete.
+
+    With C_j = vm[i] & vm[j], j passes iff |C_j| >= d-1 and no third vertex
+    lies on every row of C_j. When no other vertex lies on all of i's rows,
+    take the faces "all of i's rows but f" (prefix and suffix ANDs of the
+    facet masks). A vertex k of such a face has C_k = vm[i] minus f: it is
+    a neighbour iff the face is {i, k} (and i has >= d rows), and it rejects
+    every j off facet f, since then C_j lies inside vm[k]. So for a simple
+    vertex (exactly d rows) the faces are the whole answer. Every other
+    candidate must lie on each such f and pass the count; it is then tested
+    most shared rows first. A tested k rejects every j on no facet of
+    vm[i] & ~vm[k] in the same way, and the test ANDs the facet masks of
+    C_k, smallest facets first, stopping at {i, k}. On a polytope a
+    non-edge spans a face of dimension >= 2, which holds a neighbour of i,
+    so neighbours reject every non-edge not tested before them.
+    """
+    vm, fm = inc.vertex_masks, inc.facet_masks
+    vmi, rows = vm[i], list(_bits(vm[i]))
+    me, full = 1 << i, (1 << len(vm)) - 1
+    remaining, found = among & ~me, 0
+    prefix = [full]
+    for f in rows:
+        prefix.append(prefix[-1] & fm[f])
+    if prefix[-1] == me:
+        if len(rows) < d:  # every C_j has at most len(rows) - 1 rows
+            return 0
+        suffix, members = full, 0
+        for t in range(len(rows) - 1, -1, -1):
+            face = (prefix[t] & suffix) ^ me
+            if face:
+                members |= face
+                remaining &= fm[rows[t]]
+                if face & (face - 1) == 0:
+                    found |= face
+            suffix &= fm[rows[t]]
+        found &= among
+        if len(rows) == d:  # every other C_j has at most d - 2 rows
+            return found
+        remaining &= ~members
+    shares = [((vmi & vm[j]).bit_count(), j) for j in _bits(remaining)]
+    candidates = sorted((s for s in shares if s[0] >= d - 1), reverse=True)
+    remaining = sum(1 << j for _, j in candidates)
+    rows.sort(key=lambda f: fm[f].bit_count())
+    for _, k in candidates:
+        if not remaining >> k & 1:
+            continue
+        low = 1 << k
+        remaining ^= low
+        common, pair, shared = vmi & vm[k], me | low, full
+        for f in rows:
+            if common >> f & 1:
+                shared &= fm[f]
+                if shared == pair:
+                    break
+        if shared == pair:
+            found |= low
+        if not remaining:
+            break
+        hit = 0
+        for f in _bits(vmi & ~vm[k]):
+            hit |= fm[f]
+        remaining &= hit
+    return found
 
 
 def adjacency_from_incidence(inc: IncidenceMatrix, d: int) -> list[tuple]:
-    """Vertex adjacency (see _adjacent) of the polytope in R^d that inc's
-    rows define, over all pairs; inc's vertex list must be complete.
-    Returns unordered label pairs, deterministic order."""
+    """Vertex adjacency of a polytope in R^d, from its incidence alone.
+
+    Args:
+        inc: the incidence of the polytope's vertex list on its rows. The
+            list must be complete, as family.checked_incidence certifies:
+            a missing vertex can leave a non-edge with no third vertex.
+        d: the dimension of the space.
+
+    Two vertices i and j are adjacent iff at least d-1 rows are tight at
+    both (an edge's rows have rank d-1) and no third vertex lies on all of
+    them: those rows cut out the smallest face that holds both (Ziegler,
+    Lectures on Polytopes, ch. 2). The neighbours are found vertex by
+    vertex (_neighbours) instead of over all n^2/2 pairs: first all of
+    each simple vertex's (exactly d rows), then each other vertex's among
+    the other vertices after it.
+
+    Returns:
+        Unordered label pairs (i, j), i before j in inc's vertex order,
+        sorted by i, then j; on any incidence, those of the pairwise test.
+    """
     n = len(inc.labels)
-    return [
-        (inc.labels[i], inc.labels[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if _adjacent(inc, d, i, j)
-    ]
+    adj, rest = [0] * n, 0
+    for i, mask in enumerate(inc.vertex_masks):
+        if mask.bit_count() == d:
+            adj[i] = _neighbours(inc, d, i, (1 << n) - 1)
+        else:
+            rest |= 1 << i
+    for i in range(n):
+        if rest >> i & 1:
+            adj[i] |= _neighbours(inc, d, i, rest & -2 << i)  # those after i
+    for i in range(n):
+        for j in _bits(adj[i]):
+            adj[j] |= 1 << i
+    return [(inc.labels[i], inc.labels[j]) for i in range(n) for j in _bits(adj[i] & -2 << i)]
 
 
 class TangentCone:
@@ -402,14 +478,15 @@ def tangent_cone(v: VRep, label, inc: IncidenceMatrix) -> TangentCone:
 
     Returns:
         TangentCone with generators (neighbor - vertex) for every neighbor in
-        the polytope graph, in vertex order.
+        the polytope graph, in vertex order. The neighbours are those of
+        adjacency_from_incidence, found for this vertex alone (_neighbours).
+        Raises ValueError when there are none.
     """
     apex = v.coords(label)
     i = inc.labels.index(label)
+    found = _neighbours(inc, len(apex), i, (1 << len(inc.labels)) - 1)
     generators = [
-        tuple(x - y for x, y in zip(v.coords(other), apex))
-        for j, other in enumerate(inc.labels)
-        if j != i and _adjacent(inc, len(apex), i, j)
+        tuple(x - y for x, y in zip(v.coords(inc.labels[j]), apex)) for j in _bits(found)
     ]
     if not generators:
         raise ValueError("vertex has no neighbors")
@@ -455,15 +532,20 @@ def dantzig_hrep(cone_u: TangentCone, cone_v: TangentCone) -> HRep:
 
 
 def list_antipodal_pairs(inc: IncidenceMatrix) -> list[tuple]:
-    """All unordered vertex pairs whose incidences partition the facet set
-    (every facet contains exactly one of the two)."""
-    n, masks = len(inc.labels), inc.vertex_masks
+    """All unordered pairs of inc's vertices whose incidences partition the
+    facet set (every facet contains exactly one of the two), as label pairs
+    (i, j), i before j in inc's vertex order, sorted by i, then j; any
+    incidence will do, complete or not. Each vertex looks up the vertices
+    whose mask is the complement of its own."""
     full = (1 << len(inc.facet_ids)) - 1
+    by_mask: dict[int, list[int]] = {}
+    for j, mask in enumerate(inc.vertex_masks):
+        by_mask.setdefault(mask, []).append(j)
     return [
         (inc.labels[i], inc.labels[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if masks[i] ^ masks[j] == full
+        for i, mask in enumerate(inc.vertex_masks)
+        for j in by_mask.get(full ^ mask, ())
+        if j > i
     ]
 
 

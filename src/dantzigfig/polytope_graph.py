@@ -10,6 +10,8 @@ Fraction-valued result.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 
 class Disconnected(ValueError):
@@ -81,26 +83,32 @@ def _bits(mask: int):
 
 
 def eccentricities(graph: PolytopeGraph) -> dict:
-    """Per-label eccentricity via bitmask BFS; raises Disconnected."""
+    """Per-label eccentricity of graph, which must be connected: raises
+    Disconnected otherwise.
+
+    Grows every vertex's ball one step at a time, for all vertices at once:
+    the ball of radius r + 1 around v is its ball of radius r joined with
+    those of its neighbours. A level costs at most 2E ORs, where one BFS
+    per source costs up to n per source. A vertex's eccentricity is the
+    radius at which its ball first holds every vertex; a ball short of
+    that which stops growing has reached its whole component.
+    """
     n = len(graph)
     full = (1 << n) - 1
-    out = {}
-    for start, label in enumerate(graph.labels):
-        seen = 1 << start
-        frontier = seen
-        dist = 0
-        while seen != full:
-            nxt = 0
-            for i in _bits(frontier):
-                nxt |= graph.adj[i]
-            nxt &= ~seen
-            if not nxt:
-                raise Disconnected(f"no path out of component of {label}")
-            seen |= nxt
-            frontier = nxt
-            dist += 1
-        out[label] = dist
-    return out
+    neighbours = [list(_bits(mask)) for mask in graph.adj]
+    balls = [1 << v | mask for v, mask in enumerate(graph.adj)]  # radius 1
+    ecc = [int(n > 1)] * n
+    radius, todo = 1, [v for v in range(n) if balls[v] != full]
+    while todo:
+        radius += 1
+        grown = [reduce(or_, map(balls.__getitem__, neighbours[v]), balls[v]) for v in todo]
+        for v, ball in zip(todo, grown):
+            if ball == balls[v]:
+                raise Disconnected(f"no path out of component of {graph.labels[v]}")
+            balls[v] = ball
+            ecc[v] = radius
+        todo = [v for v in todo if balls[v] != full]
+    return dict(zip(graph.labels, ecc))
 
 
 def radius_and_diameter(graph: PolytopeGraph) -> tuple[int, int]:

@@ -1,13 +1,19 @@
 """Referees that only the tests read: the cdd text parsers, which read back
-what `formats.write_ine` / `write_ext` print, and the adjacency test that
-takes a rank on every pair the facet masks leave, which
-`polytope_core._adjacent` does without on a certified-complete vertex
-list."""
+what `formats.write_ine` / `write_ext` print; the pairwise facet-mask
+adjacency test, which `polytope_core.adjacency_from_incidence` and
+`tangent_cone` answer vertex by vertex, and the same test with a rank on
+every pair the masks leave, which they do without on a certified-complete
+vertex list; the all-pairs antipodal scan; the double-description run in
+the given row order, which `oracle._extreme_rays` runs in lexmin order;
+and one BFS per source, which `polytope_graph.eccentricities` replaces by
+growing every ball at once."""
 
 from fractions import Fraction
 
-from dantzigfig.exactmath import rank_of_rows
+from dantzigfig.exactmath import adjugate, bareiss_echelon, primitive, rank_of_rows
+from dantzigfig.oracle import UnboundedSuspected
 from dantzigfig.polytope_core import HRep, IncidenceMatrix
+from dantzigfig.polytope_graph import Disconnected, PolytopeGraph
 
 
 class FormatError(ValueError):
@@ -62,9 +68,13 @@ def parse_ext(text: str) -> list[tuple]:
     return points
 
 
-def mask_survivor(inc: IncidenceMatrix, i: int, j: int) -> bool:
-    """Whether no third vertex is on every row tight at both i and j."""
+def adjacent_by_masks(inc: IncidenceMatrix, d: int, i: int, j: int) -> bool:
+    """The pair test that `polytope_core._neighbours` answers vertex by
+    vertex: at least d-1 rows tight at both i and j, and no third vertex on
+    all of them (the AND of their facet masks is {i, j})."""
     common = inc.vertex_masks[i] & inc.vertex_masks[j]
+    if common.bit_count() < d - 1:
+        return False
     shared = (1 << len(inc.labels)) - 1
     for f, fm in enumerate(inc.facet_masks):
         if common >> f & 1:
@@ -72,13 +82,35 @@ def mask_survivor(inc: IncidenceMatrix, i: int, j: int) -> bool:
     return shared == 1 << i | 1 << j
 
 
+def adjacency_by_masks(inc: IncidenceMatrix, d: int) -> list[tuple]:
+    """`adjacency_from_incidence` over all n^2/2 pairs, in its order."""
+    n = len(inc.labels)
+    return [
+        (inc.labels[i], inc.labels[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if adjacent_by_masks(inc, d, i, j)
+    ]
+
+
+def tangent_generators_by_masks(v, label, inc: IncidenceMatrix) -> list[tuple]:
+    """`tangent_cone(v, label, inc).generators` by the pairwise mask test:
+    neighbour minus apex, in vertex order; d is the apex's length."""
+    apex, i = v.coords(label), inc.labels.index(label)
+    return [
+        tuple(x - y for x, y in zip(v.coords(other), apex))
+        for j, other in enumerate(inc.labels)
+        if j != i and adjacent_by_masks(inc, len(apex), min(i, j), max(i, j))
+    ]
+
+
 def adjacent_by_rank(h: HRep, inc: IncidenceMatrix, i: int, j: int) -> bool:
     """Vertices i and j span an edge iff at least d-1 rows are tight at
     both, no third vertex is on all of them, and their normals have rank
     d-1: the rank is taken on every pair the masks leave."""
-    common = inc.vertex_masks[i] & inc.vertex_masks[j]
-    if common.bit_count() < h.dim - 1 or not mask_survivor(inc, i, j):
+    if not adjacent_by_masks(inc, h.dim, i, j):
         return False
+    common = inc.vertex_masks[i] & inc.vertex_masks[j]
     return rank_of_rows([n for f, n in enumerate(h.normals) if common >> f & 1]) == h.dim - 1
 
 
@@ -91,3 +123,84 @@ def adjacency_by_rank(h: HRep, inc: IncidenceMatrix) -> list[tuple]:
         for j in range(i + 1, n)
         if adjacent_by_rank(h, inc, i, j)
     ]
+
+
+def antipodal_pairs_by_xor(inc: IncidenceMatrix) -> list[tuple]:
+    """`list_antipodal_pairs` over all n^2/2 pairs: the masks of i and j
+    XOR to every facet."""
+    n, masks = len(inc.labels), inc.vertex_masks
+    full = (1 << len(inc.facet_ids)) - 1
+    return [
+        (inc.labels[i], inc.labels[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if masks[i] ^ masks[j] == full
+    ]
+
+
+def extreme_rays_in_row_order(h: HRep) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """`oracle._extreme_rays` before the lexmin order: the rows after the
+    start basis are cut in the order h gives them, and the pair loop runs
+    over (+) x all rays. The same (ray, mask) set in another order; not
+    cached."""
+    d = h.dim
+    rows = [(0,) * d + (-1,)] + [normal + (-beta,) for normal, beta in h.rows()]
+    start = bareiss_echelon(list(zip(*rows)))[1]
+    if len(start) < d + 1:
+        raise UnboundedSuspected("the polyhedron contains a line")
+    adj, det = adjugate([rows[i] for i in start])
+    sign = -1 if det > 0 else 1
+    every = sum(1 << i for i in start)
+    rays = [
+        (primitive([sign * a for a in col]), every & ~(1 << i))
+        for col, i in zip(zip(*adj), start)
+    ]
+    for k in range(len(rows)):
+        if k in start:
+            continue
+        bit = 1 << k
+        side = [sum(a * y for a, y in zip(rows[k], ray)) for ray, _ in rays]
+        masks = [z for _, z in rays]
+        kept = [
+            (ray, z | bit if s == 0 else z) for (ray, z), s in zip(rays, side) if s <= 0
+        ]
+        for (rp, zp), sp in zip(rays, side):
+            if sp <= 0:
+                continue
+            for (rn, zn), sn in zip(rays, side):
+                if sn >= 0:
+                    continue
+                common = zp & zn
+                if common.bit_count() < d - 1:
+                    continue
+                if sum(z & common == common for z in masks) > 2:
+                    continue
+                new = primitive([sp * yn - sn * yp for yp, yn in zip(rp, rn)])
+                kept.append((new, common | bit))
+        rays = kept
+    for ray, _ in rays:
+        if ray[d] == 0:
+            raise UnboundedSuspected(f"recession ray {ray[:d]}")
+    return tuple(rays)
+
+
+def eccentricities_by_bfs(graph: PolytopeGraph) -> dict:
+    """`eccentricities` by one bitmask BFS per source; raises Disconnected."""
+    full = (1 << len(graph)) - 1
+    out = {}
+    for start, label in enumerate(graph.labels):
+        seen = frontier = 1 << start
+        dist = 0
+        while seen != full:
+            nxt = 0
+            for i in range(len(graph)):
+                if frontier >> i & 1:
+                    nxt |= graph.adj[i]
+            nxt &= ~seen
+            if not nxt:
+                raise Disconnected(f"no path out of component of {label}")
+            seen |= nxt
+            frontier = nxt
+            dist += 1
+        out[label] = dist
+    return out

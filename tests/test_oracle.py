@@ -52,6 +52,7 @@ from dantzigfig.grevlex_family import (
     grevlex_vertices,
     make_grevlex,
 )
+from referees import extreme_rays_in_row_order
 
 F = Fraction
 
@@ -786,3 +787,74 @@ def test_facet_irredundancy_matches_rerun_random(system):
             facet_irredundancy(h)
         return
     assert changed_flags(h) == rerun_irredundancy(h)
+
+
+# ------------------------------------ DD row order against the row-order run
+
+
+def dd_outcome(route, h):
+    """The (ray, mask) set of a DD route, or the error type it raises."""
+    try:
+        return set(route(h))
+    except (UnboundedSuspected, NotFullDimensional) as exc:
+        return type(exc)
+
+
+def assert_lexmin_matches_row_order(h):
+    oracle._extreme_rays.cache_clear()
+    ours = dd_outcome(oracle._extreme_rays, h)
+    assert ours == dd_outcome(extreme_rays_in_row_order, h)
+    return ours
+
+
+def test_dd_lexmin_matches_the_row_order_run_on_the_dd_ladder():
+    # the instances of acceptance check C11: d = 12, 16, 20, both families
+    rng = random.Random(111)
+    for d in (12, 16, 20):
+        theta = tuple(rng.randint(2, 4) for _ in range(d))
+        for make, hrep in ((make_grlex, grlex_hrep), (make_grevlex, grevlex_hrep)):
+            rays = assert_lexmin_matches_row_order(hrep(make(theta)))
+            assert len(rays) == (d * d + d + 2) // 2
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_dd_lexmin_matches_the_row_order_run_on_every_merged_grlex_pattern(d):
+    for tail in product((1, 2), repeat=d - 2):
+        inst = make_grlex((2, 2) + tail)
+        rays = assert_lexmin_matches_row_order(grlex_hrep(inst))
+        assert len(rays) == (d * d + d + 2) // 2 - len(inst.merged_ks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    extra=st.lists(st.tuples(_row, st.integers(-2, 8)), min_size=1, max_size=6),
+)
+def test_dd_lexmin_matches_the_row_order_run_random(d, extra):
+    planes = [(tuple(-int(i == c) for i in range(d)), 0) for c in range(d)]
+    rows = [(a[:d], beta) for a, beta in extra if any(a[:d])]
+    assert_lexmin_matches_row_order(HRep(planes + rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_systems())
+def test_dd_lexmin_matches_the_row_order_run_on_bounded_systems(system):
+    _, rows = system
+    assert_lexmin_matches_row_order(HRep(rows))
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([((-1, 0), 0), ((0, -1), 0), ((1, -1), 1)], UnboundedSuspected),  # a ray
+        ([((1, 0), 1), ((-1, 0), 1)], UnboundedSuspected),  # a line
+        ([((-1, 0), 0), ((0, -1), 0), ((1, 1), 0)], NotFullDimensional),  # a point
+        ([((-1, 0), 0), ((0, -1), 0), ((1, 1), 4), ((1, -1), 0), ((-1, 1), 0)],
+         NotFullDimensional),  # a segment
+    ],
+)
+def test_dd_lexmin_refuses_what_the_row_order_run_refuses(rows, error, monkeypatch):
+    for route in (oracle._extreme_rays, extreme_rays_in_row_order):
+        monkeypatch.setattr(oracle, "_extreme_rays", route)
+        with pytest.raises(error):
+            facet_irredundancy(HRep(rows))

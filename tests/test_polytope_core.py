@@ -6,6 +6,7 @@ usefully, no antipodal vertex pair at all.
 """
 
 import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -35,7 +36,8 @@ from dantzigfig.polytope_core import (
     list_antipodal_pairs,
     tangent_cone,
 )
-from referees import adjacency_by_rank
+from referees import adjacency_by_masks, adjacency_by_rank, antipodal_pairs_by_xor
+from referees import tangent_generators_by_masks
 
 F = Fraction
 
@@ -445,13 +447,20 @@ def test_checked_incidence_rejects_an_incomplete_vertex_list():
 HAND_BUILT = {
     # a third vertex on the rows -y, -z that a and b share
     "third-vertex-on-common-rows": [0b010101, 0b010110, 0b011100],
+    # c and d repeat a's mask: a has d rows but is not alone on them, so
+    # its faces do not decide its neighbours
+    "repeated-masks-on-the-rows-of-a": [0b010101, 0b010110, 0b010101, 0b010101],
+    # b and c are degenerate (four rows each), and both lie on all of a's
+    "degenerate-vertices-on-the-rows-of-a": [0b010101, 0b011101, 0b110101],
+    # (a, d) is an edge, on the rows -x, -z that no third vertex shares
+    "an-edge-beside-the-non-edge": [0b010101, 0b010110, 0b110100, 0b011001],
 }
 
 
 @pytest.mark.parametrize("masks", HAND_BUILT.values(), ids=HAND_BUILT)
 def test_hand_built_incidence_matches_the_rank_referee(masks):
     h, _ = unit_cube()
-    labels = ["a", "b", "c"][: len(masks)]
+    labels = list("abcd")[: len(masks)]
     inc = IncidenceMatrix(labels, list(range(len(h))), masks)
     assert masks[0].bit_count() == h.dim <= (masks[0] & masks[1]).bit_count() + 1
     assert adjacency_from_incidence(inc, h.dim) == adjacency_by_rank(h, inc)
@@ -477,3 +486,85 @@ def test_adjacency_matches_the_rank_referee_on_the_families():
         inst = fam.make(theta)
         h, inc = fam.hrep(inst), fam.incidence(inst)
         assert adjacency_from_incidence(inc, h.dim) == adjacency_by_rank(h, inc), (name, theta)
+
+
+def permuted(inc, order):
+    """inc with its vertices listed in the given order."""
+    return IncidenceMatrix(
+        [inc.labels[k] for k in order], inc.facet_ids, [inc.vertex_masks[k] for k in order]
+    )
+
+
+def assert_edges_match_the_mask_referee(inc, d, v, at=None):
+    """adjacency_from_incidence, and the tangent_cone generators at the
+    vertices at (all by default), equal the pairwise mask test's, in order."""
+    assert adjacency_from_incidence(inc, d) == adjacency_by_masks(inc, d)
+    for i in range(len(inc.labels)) if at is None else at:
+        expected = tangent_generators_by_masks(v, inc.labels[i], inc)
+        if expected:
+            assert tangent_cone(v, inc.labels[i], inc).generators == expected
+        else:
+            with pytest.raises(ValueError, match="no neighbors"):
+                tangent_cone(v, inc.labels[i], inc)
+
+
+@pytest.mark.parametrize("masks", HAND_BUILT.values(), ids=HAND_BUILT)
+def test_hand_built_incidence_matches_the_mask_referee_in_every_order(masks):
+    labels = list("abcd")[: len(masks)]
+    inc = IncidenceMatrix(labels, list(range(6)), masks)
+    v = VRep([(label, (k, 0, 0)) for k, label in enumerate(labels)])
+    for order in itertools.permutations(range(len(labels))):
+        assert_edges_match_the_mask_referee(permuted(inc, order), 3, v)
+
+
+def test_edges_match_the_mask_referee_on_the_families():
+    rng = random.Random(23)
+    for name, theta in _referee_thetas(21):
+        fam = dantzigfig.FAMILIES[name]
+        inst = fam.make(theta)
+        inc, v, d = fam.incidence(inst), fam.vertices(inst), len(theta)
+        n = len(inc.labels)
+        apexes = [inc.labels.index(label) for label in fam.apexes(inst)]
+        assert_edges_match_the_mask_referee(inc, d, v, apexes + rng.sample(range(n), 3))
+        # the same vertices in another order: the witnesses come in another order
+        shuffled = permuted(inc, rng.sample(range(n), n))
+        assert_edges_match_the_mask_referee(shuffled, d, v, rng.sample(range(n), 3))
+
+
+def test_random_incidences_match_the_mask_referee():
+    # not polytopes: both routes must still give the pairs of the pairwise test
+    rng = random.Random(24)
+    for _ in range(400):
+        n, rows, d = rng.randint(1, 8), rng.randint(1, 7), rng.randint(1, 5)
+        masks = [rng.getrandbits(rows) for _ in range(n)]
+        inc = IncidenceMatrix(list(range(n)), list(range(rows)), masks)
+        v = VRep([(k, (k,) + (0,) * (d - 1)) for k in range(n)])  # tangent_cone's d
+        assert_edges_match_the_mask_referee(inc, d, v)
+
+
+# ------------------------------------------------------- antipodal pairs
+
+
+def test_antipodal_pairs_match_the_xor_referee_on_the_families():
+    for name, theta in _referee_thetas(25):
+        inc = dantzigfig.FAMILIES[name].incidence(dantzigfig.FAMILIES[name].make(theta))
+        assert list_antipodal_pairs(inc) == antipodal_pairs_by_xor(inc), (name, theta)
+
+
+@pytest.mark.parametrize(
+    "facets, masks",
+    [
+        (4, [0b0011, 0b1100, 0b1100, 0b0011, 0b1100]),  # repeated masks on both sides
+        (3, [0b111, 0b000, 0b000, 0b101, 0b010, 0b111]),  # full and empty masks
+        (0, [0, 0, 0]),  # no facets: every pair partitions the empty set
+        (2, [0b01, 0b01]),  # equal masks, no complement
+    ],
+)
+def test_antipodal_pairs_match_the_xor_referee_on_repeated_masks(facets, masks):
+    inc = IncidenceMatrix(list(range(len(masks))), list(range(facets)), masks)
+    assert list_antipodal_pairs(inc) == antipodal_pairs_by_xor(inc)
+    rng = random.Random(26)
+    for _ in range(20):
+        shuffled = rng.sample(masks, len(masks))
+        inc = IncidenceMatrix(list(range(len(masks))), list(range(facets)), shuffled)
+        assert list_antipodal_pairs(inc) == antipodal_pairs_by_xor(inc)

@@ -40,6 +40,7 @@ from dantzigfig.polytope_core import (
     list_antipodal_pairs,
     tangent_cone,
 )
+from referees import adjacency_by_masks, tangent_generators_by_masks
 
 _rhs = st.one_of(
     st.integers(0, 9),
@@ -221,6 +222,22 @@ def test_incidence_and_adjacency_match_referee(hv):
     assert adjacency_from_incidence(inc, h.dim) == ref_edges(h, v)
     for i, label in enumerate(v.labels()):
         expected = ref_generators(h, v, i)
+        if expected:
+            assert tangent_cone(v, label, inc).generators == expected
+        else:
+            with pytest.raises(ValueError):
+                tangent_cone(v, label, inc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hv=lattice_polytopes(), data=st.data())
+def test_edges_match_the_mask_referee_in_any_vertex_order(hv, data):
+    h, v = hv
+    v = VRep(data.draw(st.permutations(v.entries)))
+    inc = incidence(h, v)
+    assert adjacency_from_incidence(inc, h.dim) == adjacency_by_masks(inc, h.dim)
+    for label in v.labels():
+        expected = tangent_generators_by_masks(v, label, inc)
         if expected:
             assert tangent_cone(v, label, inc).generators == expected
         else:

@@ -15,6 +15,7 @@ from dantzigfig.polytope_graph import (
     TooLarge,
     combinatorially_equal,
     cut_edges,
+    eccentricities,
     edge_expansion_exact,
     proper_coloring_search,
     radius_and_diameter,
@@ -22,6 +23,7 @@ from dantzigfig.polytope_graph import (
     verify_hamiltonian,
 )
 from dantzigfig.polytope_core import IncidenceMatrix
+from referees import eccentricities_by_bfs
 
 
 def complete_graph(n):
@@ -70,6 +72,61 @@ def test_disconnected_raises():
     g = PolytopeGraph.from_edges(["a", "b", "c"], [("a", "b")])
     with pytest.raises(Disconnected):
         radius_and_diameter(g)
+
+
+def eccentricities_on_both_routes(graph):
+    """(eccentricities, the BFS referee's), each a dict or Disconnected."""
+    out = []
+    for route in (eccentricities, eccentricities_by_bfs):
+        try:
+            out.append(route(graph))
+        except Disconnected:
+            out.append(Disconnected)
+    return out
+
+
+def test_eccentricities_match_the_bfs_referee_on_the_families():
+    rng = random.Random(27)
+    for d in range(3, 21):
+        for name, theta in (
+            ("grevlex", tuple(rng.randint(1, 3) for _ in range(d))),
+            ("grlex", tuple(rng.randint(2, 3) for _ in range(d))),
+            ("grlex", (2, 2) + tuple(rng.randint(1, 3) for _ in range(d - 2))),  # merged
+        ):
+            fam = FAMILIES[name]
+            ours, referee = eccentricities_on_both_routes(fam.graph(fam.make(theta)))
+            assert ours == referee and ours is not Disconnected, (name, theta)
+
+
+def test_eccentricities_match_the_bfs_referee_on_random_graphs():
+    rng = random.Random(28)
+    disconnected = 0
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        p = rng.choice([0.05, 0.1, 0.2, 0.4, 0.8])
+        labels = rng.sample(range(100), n)
+        edges = [
+            (labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p
+        ]
+        ours, referee = eccentricities_on_both_routes(PolytopeGraph.from_edges(labels, edges))
+        assert ours == referee
+        disconnected += ours is Disconnected
+    assert 0 < disconnected < 300
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[("a", "b")], [], [("a", "b"), ("c", "d")], [("b", "c"), ("c", "d"), ("b", "d")]],
+)
+def test_disconnected_raises_on_both_routes(edges):
+    g = PolytopeGraph.from_edges(["a", "b", "c", "d"], edges)
+    assert eccentricities_on_both_routes(g) == [Disconnected, Disconnected]
+
+
+def test_one_vertex_graph_has_radius_and_diameter_zero():
+    g = PolytopeGraph.from_edges(["a"], [])
+    assert eccentricities(g) == eccentricities_by_bfs(g) == {"a": 0}
+    assert radius_and_diameter(g) == (0, 0)
 
 
 def test_verify_hamiltonian():
