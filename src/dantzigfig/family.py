@@ -36,27 +36,20 @@ from .polytope_core import (
 class ThetaInstance:
     """A bound vector theta >= 1 with d >= 3, plus derived quantities.
 
-    Immutable; equal, with equal hashes, to an instance of the same class
-    and theta, so it keys the families' caches.
+    theta is read-only. `built` holds the parts its family has built from
+    it (see Family), so they live exactly as long as the instance.
     """
 
-    __slots__ = ("_theta",)
+    __slots__ = ("_theta", "built")
 
     def __init__(self, theta: tuple[int, ...]):
         check_theta(theta)
         self._theta = theta
+        self.built: dict[str, object] = {}
 
     @property
     def theta(self) -> tuple[int, ...]:
         return self._theta
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._theta == other._theta
-
-    def __hash__(self) -> int:
-        return hash(self._theta)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(theta={self._theta!r})"
@@ -140,20 +133,16 @@ def checked_incidence(
     return symbolic
 
 
-def _sorted_pairs(pairs) -> list[tuple[VertexLabel, VertexLabel]]:
-    return sorted(tuple(sorted(p)) for p in pairs)
-
-
 def checked_edges(
-    pairs, inc: IncidenceMatrix, d: int
+    pairs: set[frozenset[VertexLabel]], inc: IncidenceMatrix, d: int
 ) -> tuple[tuple[VertexLabel, VertexLabel], ...]:
-    """The closed-form edge pairs, sorted, checked equal to the adjacency
-    derived from the incidence, whose vertex list checked_incidence
-    certified complete."""
-    closed = _sorted_pairs(pairs)
-    if closed != _sorted_pairs(adjacency_from_incidence(inc, d)):
+    """The adjacency derived from the incidence, whose vertex list
+    checked_incidence certified complete, in vertex order, after checking
+    that its pairs are the closed-form edge pairs."""
+    derived = adjacency_from_incidence(inc, d)
+    if set(map(frozenset, derived)) != pairs:
         raise CheckFailed("edge list disagrees with incidence adjacency")
-    return tuple(closed)
+    return tuple(derived)
 
 
 def checked_cycle(graph: pg.PolytopeGraph, recipe: list) -> tuple:
@@ -175,9 +164,13 @@ class Family:
 
     The constructions are the public functions make_<name>, <name>_vertices,
     ... of the module that defines the subclass, looked up there at each
-    call, so a rebinding of those module-level names is seen. A subclass
-    sets name and kind, supplies apexes, normal_ok and radius_diameter, and
-    states its other claims where they differ from the defaults below.
+    call, so a rebinding of those module-level names is seen. The vertices,
+    H-representation, incidence, graph and Hamiltonian cycle of an instance
+    are built once and kept in the instance's `built`; the module functions
+    reach each other's parts through the family, so they share them too. A
+    subclass sets name and kind, supplies apexes, normal_ok and
+    radius_diameter, and states its other claims where they differ from the
+    defaults below.
     """
 
     name: str
@@ -186,23 +179,30 @@ class Family:
     def _public(self, function: str):
         return getattr(sys.modules[type(self).__module__], function)
 
+    def _built(self, part: str, inst: ThetaInstance):
+        """The part of inst, built by <name>_<part> on the first request."""
+        built = inst.built
+        if part not in built:
+            built[part] = self._public(f"{self.name}_{part}")(inst)
+        return built[part]
+
     def make(self, theta) -> ThetaInstance:
         return self._public(f"make_{self.name}")(theta)
 
     def vertices(self, inst: ThetaInstance) -> VRep:
-        return self._public(f"{self.name}_vertices")(inst)
+        return self._built("vertices", inst)
 
     def hrep(self, inst: ThetaInstance) -> HRep:
-        return self._public(f"{self.name}_hrep")(inst)
+        return self._built("hrep", inst)
 
     def incidence(self, inst: ThetaInstance) -> IncidenceMatrix:
-        return self._public(f"{self.name}_incidence")(inst)
+        return self._built("incidence", inst)
 
     def graph(self, inst: ThetaInstance) -> pg.PolytopeGraph:
-        return self._public(f"{self.name}_graph")(inst)
+        return self._built("graph", inst)
 
     def hamiltonian_cycle(self, inst: ThetaInstance) -> tuple[VertexLabel, ...]:
-        return self._public(f"{self.name}_hamiltonian_cycle")(inst)
+        return self._built("hamiltonian_cycle", inst)
 
     def coloring(self, inst: ThetaInstance) -> tuple[dict[VertexLabel, int], int]:
         """A checked coloring and its number of colors."""

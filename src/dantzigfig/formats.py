@@ -37,8 +37,8 @@ def write_ext(v) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_dot(graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def write_dot(graph) -> str:
+    lines = ["graph G {"]
     for label in graph.labels:
         lines.append(f'  "{label}";')
     for i, label in enumerate(graph.labels):  # each edge once, from its lower end

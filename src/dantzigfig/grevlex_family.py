@@ -12,7 +12,6 @@ every theta >= 1.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 from math import prod
 
@@ -76,7 +75,6 @@ def _vbar_range(d: int):
             yield j, k
 
 
-@lru_cache(maxsize=None)
 def grevlex_vertices(inst: GrevlexInstance) -> VRep:
     """Labeled vertex list of Q; always (d^2+d+2)/2 vertices."""
     d = inst.d
@@ -93,7 +91,6 @@ def grevlex_vertices(inst: GrevlexInstance) -> VRep:
     return vrep
 
 
-@lru_cache(maxsize=None)
 def grevlex_facet_matrix(inst: GrevlexInstance) -> IntRows:
     """Mbar = [ubar(3)-theta, vbar(1,3)-theta, ..., vbar(1,d+1)-theta]."""
     d, th = inst.d, inst.theta
@@ -113,7 +110,6 @@ def _q(inst: GrevlexInstance, i: int, j: int) -> int:
     return th[i - 1] * th[j - 1] * prod(th[k - 1] + 1 for k in range(i + 1, j))
 
 
-@lru_cache(maxsize=None)
 def grevlex_facet_matrix_inverse(inst: GrevlexInstance) -> tuple[IntRows, int]:
     """Nbar = Mbar^-1 by closed-form recursion, as (theta_1·Nbar, theta_1):
     row 1 is the only row of Nbar with a denominator, theta_1. Nbar·Mbar = I
@@ -140,7 +136,6 @@ def grevlex_facet_matrix_inverse(inst: GrevlexInstance) -> tuple[IntRows, int]:
     return check_inverse(rows, th1, grevlex_facet_matrix(inst))
 
 
-@lru_cache(maxsize=None)
 def grevlex_hrep(inst: GrevlexInstance) -> HRep:
     """The 2d facet rows: x_i >= 0 and the d rows of -Nbar x <= -Nbar theta.
 
@@ -173,18 +168,15 @@ def _symbolic_psi(inst: GrevlexInstance) -> dict[VertexLabel, frozenset[int]]:
     return psi
 
 
-@lru_cache(maxsize=None)
 def grevlex_incidence(inst: GrevlexInstance) -> IncidenceMatrix:
     """Symbolic incidence from the closed formulas, checked against the
     numeric slack computation bit for bit."""
-    return checked_incidence(
-        grevlex_hrep(inst), grevlex_vertices(inst), _symbolic_psi(inst)
-    )
+    return checked_incidence(GREVLEX.hrep(inst), GREVLEX.vertices(inst), _symbolic_psi(inst))
 
 
-@lru_cache(maxsize=None)
 def grevlex_edges(inst: GrevlexInstance) -> tuple[tuple[VertexLabel, VertexLabel], ...]:
-    """Closed-form edge list, checked equal to incidence-derived adjacency.
+    """The incidence-derived adjacency, in vertex order, checked equal to
+    the closed-form edge set.
 
     Families: 0 to ubar(d+1) and every vbar(.,d+1); the ubar chain; ubar(k)
     to short-row vbar(j,k-1); ubar(j) to vbar(j-1,.); same-j row cliques;
@@ -214,16 +206,13 @@ def grevlex_edges(inst: GrevlexInstance) -> tuple[tuple[VertexLabel, VertexLabel
         for j1 in range(1, k - 1):
             for j2 in range(j1 + 1, k - 1):
                 add(VB(j1, k), VB(j2, k))
-    return checked_edges(edges, grevlex_incidence(inst), inst.d)
+    return checked_edges(edges, GREVLEX.incidence(inst), inst.d)
 
 
 def grevlex_graph(inst: GrevlexInstance) -> pg.PolytopeGraph:
-    return pg.PolytopeGraph.from_edges(
-        grevlex_vertices(inst).labels(), grevlex_edges(inst)
-    )
+    return pg.PolytopeGraph.from_edges(GREVLEX.vertices(inst).labels(), grevlex_edges(inst))
 
 
-@lru_cache(maxsize=None)
 def grevlex_hamiltonian_cycle(inst: GrevlexInstance) -> tuple[VertexLabel, ...]:
     """Serpentine Hamiltonian cycle: 0, the ubar chain from d+1 down to 2,
     then columns k = 3..d+1 each entered on the previous exit row, closing
@@ -239,7 +228,7 @@ def grevlex_hamiltonian_cycle(inst: GrevlexInstance) -> tuple[VertexLabel, ...]:
         exit_j = max(rest) if rest else entry
         cycle += [VB(entry, k)] + [VB(j, k) for j in sorted(rest)]
         entry = exit_j
-    return checked_cycle(grevlex_graph(inst), cycle)
+    return checked_cycle(GREVLEX.graph(inst), cycle)
 
 
 def grevlex_coloring(inst: GrevlexInstance) -> dict[VertexLabel, int]:
@@ -256,7 +245,7 @@ def grevlex_coloring(inst: GrevlexInstance) -> dict[VertexLabel, int]:
     coloring[VertexLabel.ubar(d + 1)] = 0
     for j, k in _vbar_range(d):
         coloring[VertexLabel.vbar(j, k)] = (k + j) % d
-    return checked_coloring(grevlex_graph(inst), coloring, d)
+    return checked_coloring(GREVLEX.graph(inst), coloring, d)
 
 
 class GrevlexFamily(Family):

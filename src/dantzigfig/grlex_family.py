@@ -14,7 +14,6 @@ vertex keeps the v(k-1,k) label and the graph is the edge-contracted minor.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 from math import prod
 
@@ -85,7 +84,6 @@ def _v_coords(inst: GrlexInstance, j: int, k: int) -> tuple[int, ...]:
     return tuple(x)
 
 
-@lru_cache(maxsize=None)
 def grlex_vertices(inst: GrlexInstance) -> VRep:
     """Labeled vertex list of P, with theta_k = 1 merges deduplicated."""
     d, th = inst.d, inst.theta
@@ -109,7 +107,6 @@ def grlex_vertices(inst: GrlexInstance) -> VRep:
     return vrep
 
 
-@lru_cache(maxsize=None)
 def grlex_facet_matrix(inst: GrlexInstance) -> IntRows:
     """M = [v(1,2)-theta, u(3)-theta, ..., u(d)-theta, w-theta], by columns."""
     d, th = inst.d, inst.theta
@@ -127,7 +124,6 @@ def _p(inst: GrlexInstance, i: int, j: int) -> int:
     return inst.bt(i) * prod(inst.bt(k) + 1 for k in range(i + 1, j + 1))
 
 
-@lru_cache(maxsize=None)
 def grlex_facet_matrix_inverse(inst: GrlexInstance) -> tuple[IntRows, int]:
     """N = M^-1 by closed-form recursion, as (theta_2·N, theta_2): row 1 is
     the only row of N with a denominator, theta_2. N·M = I is checked.
@@ -152,7 +148,6 @@ def grlex_facet_matrix_inverse(inst: GrlexInstance) -> tuple[IntRows, int]:
     return check_inverse(rows, th2, grlex_facet_matrix(inst))
 
 
-@lru_cache(maxsize=None)
 def grlex_hrep(inst: GrlexInstance) -> HRep:
     """The 2d facet rows: x_i >= 0 and the d rows of -N x <= -N theta.
 
@@ -196,13 +191,10 @@ def _symbolic_psi(inst: GrlexInstance) -> dict[VertexLabel, frozenset[int]]:
     return psi
 
 
-@lru_cache(maxsize=None)
 def grlex_incidence(inst: GrlexInstance) -> IncidenceMatrix:
     """Symbolic incidence from the closed formulas, checked against the
     numeric slack computation bit for bit."""
-    return checked_incidence(
-        grlex_hrep(inst), grlex_vertices(inst), _symbolic_psi(inst)
-    )
+    return checked_incidence(GRLEX.hrep(inst), GRLEX.vertices(inst), _symbolic_psi(inst))
 
 
 def _strict_edge_pairs(inst: GrlexInstance) -> set[frozenset[VertexLabel]]:
@@ -250,10 +242,9 @@ def _strict_edge_pairs(inst: GrlexInstance) -> set[frozenset[VertexLabel]]:
     return edges
 
 
-@lru_cache(maxsize=None)
 def grlex_edges(inst: GrlexInstance) -> tuple[tuple[VertexLabel, VertexLabel], ...]:
-    """Closed-form edge list (contracted minor when theta has ones),
-    checked equal to incidence-derived adjacency."""
+    """The incidence-derived adjacency, in vertex order, checked equal to
+    the closed-form edge set (contracted minor when theta has ones)."""
     relabel = {VertexLabel.u(k): VertexLabel.v(k - 1, k) for k in inst.merged_ks}
     pairs = set()
     for edge in _strict_edge_pairs(inst):
@@ -261,16 +252,13 @@ def grlex_edges(inst: GrlexInstance) -> tuple[tuple[VertexLabel, VertexLabel], .
         a, b = relabel.get(a, a), relabel.get(b, b)
         if a != b:
             pairs.add(frozenset((a, b)))
-    return checked_edges(pairs, grlex_incidence(inst), inst.d)
+    return checked_edges(pairs, GRLEX.incidence(inst), inst.d)
 
 
 def grlex_graph(inst: GrlexInstance) -> pg.PolytopeGraph:
-    return pg.PolytopeGraph.from_edges(
-        grlex_vertices(inst).labels(), grlex_edges(inst)
-    )
+    return pg.PolytopeGraph.from_edges(GRLEX.vertices(inst).labels(), grlex_edges(inst))
 
 
-@lru_cache(maxsize=None)
 def grlex_hamiltonian_cycle(inst: GrlexInstance) -> tuple[VertexLabel, ...]:
     """Hamiltonian cycle: 0, last column ascending, u-run descending, theta,
     v(1,2), then columns 3..d-1 (entering at the previous column's exit row),
@@ -299,7 +287,7 @@ def grlex_hamiltonian_cycle(inst: GrlexInstance) -> tuple[VertexLabel, ...]:
         cycle += [V(entry, k)] + [V(j, k) for j in middle] + [V(exit_j, k)]
         entry = exit_j
     cycle.append(VertexLabel.w())
-    return checked_cycle(grlex_graph(inst), cycle)
+    return checked_cycle(GRLEX.graph(inst), cycle)
 
 
 def _coloring_scheme(d: int) -> dict[VertexLabel, int]:
@@ -347,7 +335,7 @@ def grlex_coloring(inst: GrlexInstance) -> dict[VertexLabel, int]:
     """
     if not inst.strict:
         raise RequiresStrictTheta("coloring formula needs every theta_i >= 2")
-    return checked_coloring(grlex_graph(inst), _coloring_scheme(inst.d), inst.d)
+    return checked_coloring(GRLEX.graph(inst), _coloring_scheme(inst.d), inst.d)
 
 
 def grlex_coloring_relaxed(inst: GrlexInstance) -> tuple[dict[VertexLabel, int], int]:
@@ -360,7 +348,7 @@ def grlex_coloring_relaxed(inst: GrlexInstance) -> tuple[dict[VertexLabel, int],
     minor that needs more raises CheckFailed.
     """
     d = inst.d
-    graph = grlex_graph(inst)
+    graph = GRLEX.graph(inst)
     coloring = pg.proper_coloring_search(graph, d) if inst.merged_ks else _coloring_scheme(d)
     if coloring is None:
         raise CheckFailed(f"merged minor needs more than d = {d} colors")
@@ -375,12 +363,10 @@ def grlex_expansion_witness(
         raise RequiresStrictTheta("witness set needs every theta_i >= 2")
     d = inst.d
     s = frozenset({VertexLabel.zero()} | {VertexLabel.v(j, d) for j in range(1, d)})
-    boundary = [
-        e for e in grlex_edges(inst) if (e[0] in s) != (e[1] in s)
-    ]
-    if not len(boundary) == len(s) == d:
+    boundary = len(pg.cut_edges(GRLEX.graph(inst), s))
+    if not boundary == len(s) == d:
         raise CheckFailed("witness ratio is not 1")
-    return s, len(boundary)
+    return s, boundary
 
 
 class GrlexFamily(Family):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from math import comb
 from operator import mul
@@ -170,7 +169,6 @@ def segment_pieces(
     return tuple(pieces), size
 
 
-@lru_cache(maxsize=1)
 def _extreme_rays(h: HRep) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Extreme rays of the cone {(x,t) : a·x - beta·t <= 0 per row, t >= 0}
     over the rows (a, beta) of any HRep h; no vertex list is read.
@@ -189,9 +187,11 @@ def _extreme_rays(h: HRep) -> tuple[tuple[tuple[int, ...], int], ...]:
     order of the returned tuple does. Raises UnboundedSuspected when the
     rows have rank below d+1 (the polyhedron contains a line) or a ray has
     t = 0 (a recession direction), so each ray (x, t) is a vertex x/t.
-    The last run is cached by HRep identity (HRep has no __eq__) as a tuple
-    no caller can change, so the checks of one verify call share one run.
+    The run is kept on h as a tuple no caller can change, so the checks of
+    one verify call share one run.
     """
+    if h._rays is not None:
+        return h._rays
     d = h.dim
     rows = [(0,) * d + (-1,)] + [normal + (-beta,) for normal, beta in h.rows()]
     start = bareiss_echelon(list(zip(*rows)))[1]  # first independent rows
@@ -234,7 +234,8 @@ def _extreme_rays(h: HRep) -> tuple[tuple[tuple[int, ...], int], ...]:
     for ray, _ in rays:
         if ray[d] == 0:
             raise UnboundedSuspected(f"recession ray {ray[:d]}")
-    return tuple(rays)
+    h._rays = tuple(rays)
+    return h._rays
 
 
 def hull_vertices_by_basis(h: HRep) -> frozenset:

@@ -188,10 +188,13 @@ class HRep:
     row (normal, beta) of ints and Fractions over a common denominator and
     divides it by the gcd of its entries, rhs included, so 2x <= 3 stays
     (2, 0) <= 3. Raises TypeError on any other entry (a float or a bool) and
-    ValueError on a zero normal. ``ids`` optionally names each facet.
+    ValueError on a zero normal. ``ids`` optionally names each facet. The
+    system keeps what is computed from it: the rank of each tight row set
+    (tight_rank) and the extreme rays of its double-description run
+    (oracle._extreme_rays), so they live as long as the rows.
     """
 
-    __slots__ = ("normals", "rhs", "ids", "dim", "_ranks")
+    __slots__ = ("normals", "rhs", "ids", "dim", "_ranks", "_rays")
 
     def __init__(
         self,
@@ -221,6 +224,7 @@ class HRep:
         if self.ids is not None and len(self.ids) != len(self.normals):
             raise ValueError("ids length mismatch")
         self._ranks: dict[int, int] = {}
+        self._rays: Optional[tuple[tuple[tuple[int, ...], int], ...]] = None
 
     def __len__(self) -> int:
         return len(self.normals)

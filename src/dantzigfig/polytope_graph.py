@@ -145,29 +145,35 @@ def proper_coloring_search(graph: PolytopeGraph, max_colors: int):
     """Backtracking proper coloring with at most max_colors colors, or None.
 
     Vertices are colored in descending-degree order with simple forward
-    checking; exact enough for graphs with a few dozen vertices.
+    checking; exact enough for graphs with a few dozen vertices. The search
+    keeps an explicit stack, one entry per colored position, so its depth
+    is not bounded by the interpreter's recursion limit.
     """
     n = len(graph)
     order = sorted(range(n), key=lambda i: -graph.adj[i].bit_count())
     colors = [0] * n  # 0 = uncolored; colors are 1..max_colors
 
-    def assign(pos: int) -> bool:
-        if pos == n:
-            return True
+    def candidates(pos: int):
         v = order[pos]
         banned = {colors[j] for j in _bits(graph.adj[v]) if colors[j]}
         cap = min(max_colors, max((colors[order[q]] for q in range(pos)), default=0) + 1)
-        for c in range(1, cap + 1):  # symmetry break: at most one fresh color
-            if c in banned:
-                continue
-            colors[v] = c
-            if assign(pos + 1):
-                return True
-            colors[v] = 0
-        return False
+        # symmetry break: at most one fresh color
+        return iter([c for c in range(1, cap + 1) if c not in banned])
 
-    if not assign(0):
-        return None
+    untried = []  # per position so far, the colors it has not yet taken
+    pos = 0
+    while pos < n:
+        if len(untried) == pos:
+            untried.append(candidates(pos))
+        c = next(untried[pos], 0)
+        colors[order[pos]] = c
+        if c:
+            pos += 1
+        else:  # no color left here: back to the previous position
+            untried.pop()
+            pos -= 1
+            if pos < 0:
+                return None
     return {graph.labels[i]: colors[i] for i in range(n)}
 
 

@@ -5,8 +5,9 @@ adjacency test, which `polytope_core.adjacency_from_incidence` and
 every pair the masks leave, which they do without on a certified-complete
 vertex list; the all-pairs antipodal scan; the double-description run in
 the given row order, which `oracle._extreme_rays` runs in lexmin order;
-and one BFS per source, which `polytope_graph.eccentricities` replaces by
-growing every ball at once."""
+one BFS per source, which `polytope_graph.eccentricities` replaces by
+growing every ball at once; and the recursive coloring search, whose visits
+`polytope_graph.proper_coloring_search` makes from an explicit stack."""
 
 from fractions import Fraction
 
@@ -142,7 +143,7 @@ def extreme_rays_in_row_order(h: HRep) -> tuple[tuple[tuple[int, ...], int], ...
     """`oracle._extreme_rays` before the lexmin order: the rows after the
     start basis are cut in the order h gives them, and the pair loop runs
     over (+) x all rays. The same (ray, mask) set in another order; not
-    cached."""
+    kept on h."""
     d = h.dim
     rows = [(0,) * d + (-1,)] + [normal + (-beta,) for normal, beta in h.rows()]
     start = bareiss_echelon(list(zip(*rows)))[1]
@@ -204,3 +205,30 @@ def eccentricities_by_bfs(graph: PolytopeGraph) -> dict:
             dist += 1
         out[label] = dist
     return out
+
+
+def coloring_search_by_recursion(graph: PolytopeGraph, max_colors: int):
+    """`proper_coloring_search` as one recursive call per position: the same
+    order of visits, bounded by the recursion limit."""
+    n = len(graph)
+    order = sorted(range(n), key=lambda i: -graph.adj[i].bit_count())
+    colors = [0] * n
+
+    def assign(pos: int) -> bool:
+        if pos == n:
+            return True
+        v = order[pos]
+        banned = {colors[j] for j in range(n) if graph.adj[v] >> j & 1 and colors[j]}
+        cap = min(max_colors, max((colors[order[q]] for q in range(pos)), default=0) + 1)
+        for c in range(1, cap + 1):
+            if c in banned:
+                continue
+            colors[v] = c
+            if assign(pos + 1):
+                return True
+            colors[v] = 0
+        return False
+
+    if not assign(0):
+        return None
+    return {graph.labels[i]: colors[i] for i in range(n)}

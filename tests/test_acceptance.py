@@ -469,8 +469,6 @@ def test_c13_grlex_frontier_suites_at_d40(capsys, monkeypatch):
         return rank(rows)
 
     try:
-        gl.grlex_edges.cache_clear()  # so the graph suite derives the edges
-        gv.grevlex_edges.cache_clear()
         monkeypatch.setattr(polytope_core, "rank_of_rows", counted_rank)
         for family in FAMILIES:
             code = cli.main(["verify", "--family", family, "--theta", theta, "--suites", suites])

@@ -199,29 +199,11 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch):
     assert code == 1 and "verification failed" in err
 
 
-def _clear_family_caches():
-    from dantzigfig import grevlex_family, grlex_family
-
-    for module in (grlex_family, grevlex_family):
-        for function in vars(module).values():
-            if hasattr(function, "cache_clear"):
-                function.cache_clear()
-
-
-@pytest.fixture
-def cold_family_caches():
-    _clear_family_caches()
-    yield
-    _clear_family_caches()  # drop what a patched closed form left cached
-
-
 @pytest.mark.parametrize(
     "command",
     [("construct",)] + [("verify", "--suites", s) for s in ("incidence", "dantzig", "graph")],
 )
-def test_an_infeasible_closed_form_vertex_fails_verification(
-    capsys, monkeypatch, cold_family_caches, command
-):
+def test_an_infeasible_closed_form_vertex_fails_verification(capsys, monkeypatch, command):
     from dantzigfig import grlex_family
 
     v_coords = grlex_family._v_coords
@@ -240,7 +222,7 @@ def test_an_infeasible_closed_form_vertex_fails_verification(
 @pytest.mark.parametrize("family", ["grlex", "grevlex"])
 def test_verify_computes_the_numeric_incidence_once(capsys, monkeypatch, family):
     from dantzigfig import family as family_module
-    from dantzigfig import grevlex_family, grlex_family, polytope_core
+    from dantzigfig import polytope_core
 
     calls = []
     original = polytope_core.incidence
@@ -251,10 +233,6 @@ def test_verify_computes_the_numeric_incidence_once(capsys, monkeypatch, family)
 
     for module in (polytope_core, family_module):
         monkeypatch.setattr(module, "incidence", counted)
-    for module in (grlex_family, grevlex_family):  # start from cold caches
-        for function in vars(module).values():
-            if hasattr(function, "cache_clear"):
-                function.cache_clear()
     code, out, _ = run(
         capsys, "verify", "--family", family, "--theta", "2,3,2,2",
         "--suites", "incidence,dantzig,graph",
@@ -265,13 +243,12 @@ def test_verify_computes_the_numeric_incidence_once(capsys, monkeypatch, family)
 
 @pytest.mark.parametrize("family", ["grlex", "grevlex"])
 def test_verify_all_runs_the_dd_once(capsys, monkeypatch, family):
-    # the DD body calls adjugate once per run, below the cache on _extreme_rays
+    # the DD body calls adjugate once per run; a run kept on the HRep is not redone
     from dantzigfig import oracle
 
     runs = []
     adjugate = oracle.adjugate
     monkeypatch.setattr(oracle, "adjugate", lambda rows: runs.append(rows) or adjugate(rows))
-    oracle._extreme_rays.cache_clear()
     code, out, _ = run(
         capsys, "verify", "--family", family, "--theta", "2,3,2,2", "--suites", "all"
     )
@@ -285,15 +262,11 @@ def test_verify_all_runs_the_dd_once(capsys, monkeypatch, family):
 def test_oracle_reuses_the_vertex_certificates_of_incidence(capsys, monkeypatch, family):
     # check (d) ranks no system and eliminates none: every certificate it
     # reads was computed, and its reduced system eliminated, by incidence
-    from dantzigfig import exactmath, grevlex_family, grlex_family, oracle, polytope_core
+    from dantzigfig import exactmath, oracle, polytope_core
 
     memo = exactmath._reduced_rank
     assert exactmath.RANK_MEMO_SIZE is not None
     assert memo.cache_info().maxsize == exactmath.RANK_MEMO_SIZE
-    for module in (grlex_family, grevlex_family):  # a fresh HRep, no rank read yet
-        for function in vars(module).values():
-            if hasattr(function, "cache_clear"):
-                function.cache_clear()
     memo.cache_clear()
     ranked, seen = [], {}
     rank, original = polytope_core.rank_of_rows, oracle.verify_hull_equivalence
@@ -429,6 +402,16 @@ def test_graph_json_merged_uses_relaxed_coloring(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["colors"] >= 4
+
+
+def test_graph_json_colors_a_merged_minor_deeper_than_the_recursion_limit(capsys):
+    # d = 44 gives 990 vertices to the coloring search, past the default
+    # recursion limit of 1000 frames once the CLI's own frames are counted
+    theta = ",".join(["2", "2", "1"] + ["2"] * 41)
+    code, out, err = run(capsys, "graph", "--family", "grlex", "--theta", theta, "--format", "json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["vertex_count"] == 990 and report["colors"] == 44
 
 
 # -------------------------------------------------------- input errors

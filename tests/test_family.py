@@ -1,9 +1,13 @@
 """The family registry and the checks of the shared construction recipe."""
 
+import gc
+import json
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +17,7 @@ from dantzigfig import grevlex_family as gv
 from dantzigfig import grlex_family as gl
 from dantzigfig import polytope_graph as pg
 from dantzigfig.orders import OrderKind
-from dantzigfig.polytope_core import CheckFailed
+from dantzigfig.polytope_core import CheckFailed, HRep, adjacency_from_incidence
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -62,6 +66,82 @@ def test_registry_calls_module_functions_by_name(monkeypatch, module, name, part
     assert calls == [inst]
 
 
+BUILT_PARTS = (
+    "vertices", "facet_matrix", "facet_matrix_inverse", "hrep", "incidence", "edges",
+    "graph", "hamiltonian_cycle",
+)
+
+
+def _spy_on_parts(monkeypatch, module, name):
+    """Rebind each part builder of module to one that records (part, inst)."""
+    built = []
+    for part in BUILT_PARTS:
+        build = getattr(module, f"{name}_{part}")
+        monkeypatch.setattr(
+            module, f"{name}_{part}",
+            lambda inst, part=part, build=build: built.append((part, inst)) or build(inst),
+        )
+    return built
+
+
+@pytest.mark.parametrize("module,name", [(gl, "grlex"), (gv, "grevlex")])
+def test_each_part_is_built_once_per_instance(capsys, monkeypatch, module, name):
+    # asked for by the family or by another part, a part is built on the
+    # first request and read from its instance after; a second instance of
+    # the same theta builds its own, and nothing outlives a CLI call
+    built = _spy_on_parts(monkeypatch, module, name)
+    fam = FAMILIES[name]
+    first, second = fam.make((2, 3, 2, 2)), fam.make((2, 3, 2, 2))
+    for inst in (first, second, first):
+        fam.vertices(inst), fam.hrep(inst), fam.incidence(inst), fam.graph(inst)
+        fam.hamiltonian_cycle(inst), fam.coloring(inst), fam.expansion_witness(inst)
+    assert sorted(part for part, _ in built) == sorted(BUILT_PARTS * 2)
+    assert Counter(inst for _, inst in built) == {first: len(BUILT_PARTS), second: len(BUILT_PARTS)}
+    for _ in range(2):
+        built.clear()
+        code = cli.main(["verify", "--family", name, "--theta", "2,3,2,2", "--suites", "all"])
+        assert code == cli.EXIT_OK and json.loads(capsys.readouterr().out)["passed"]
+        assert sorted(part for part, _ in built) == sorted(BUILT_PARTS)
+
+
+@pytest.mark.parametrize("module,name", [(gl, "grlex"), (gv, "grevlex")])
+def test_the_hrep_and_its_dd_run_go_with_their_instance(monkeypatch, module, name):
+    class TrackedHRep(HRep):  # HRep itself takes no weak reference
+        __slots__ = ("__weakref__",)
+
+    build = getattr(module, f"{name}_hrep")
+
+    def tracked(inst):
+        h = build(inst)
+        return TrackedHRep(h.rows(), h.ids)
+
+    monkeypatch.setattr(module, f"{name}_hrep", tracked)
+    fam = FAMILIES[name]
+    inst = fam.make((2, 3, 2, 2))
+    fam.incidence(inst)  # runs the DD, which stays on the HRep
+    ref = weakref.ref(fam.hrep(inst))
+    assert type(ref()) is TrackedHRep and ref()._rays is not None
+    del inst
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("name", ["grlex", "grevlex"])
+def test_checked_edges_rejects_a_missing_or_an_extra_pair(name):
+    # the derived pairs come back in vertex order, and only for the closed-form set
+    fam = FAMILIES[name]
+    inst = fam.make((2, 3, 2, 2))
+    inc = fam.incidence(inst)
+    derived = adjacency_from_incidence(inc, inst.d)
+    pairs = set(map(frozenset, derived))
+    assert family.checked_edges(pairs, inc, inst.d) == tuple(derived)
+    non_edge = frozenset(fam.apexes(inst))
+    assert non_edge not in pairs
+    for wrong in (pairs - {frozenset(derived[0])}, pairs | {non_edge}):
+        with pytest.raises(CheckFailed, match="edge list"):
+            family.checked_edges(wrong, inc, inst.d)
+
+
 @pytest.mark.parametrize("name", ["grlex", "grevlex"])
 def test_coloring_returns_d_colors(name):
     fam = FAMILIES[name]
@@ -76,9 +156,8 @@ def test_broken_cycle_recipe_raises_without_search(monkeypatch, module, name):
     # a recipe that misses a vertex fails its check; no search stands in
     check = family.checked_cycle
     monkeypatch.setattr(module, "checked_cycle", lambda graph, recipe: check(graph, recipe[:-1]))
-    build = getattr(module, f"{name}_hamiltonian_cycle").__wrapped__  # past the cache
     with pytest.raises(CheckFailed, match="recipe"):
-        build(FAMILIES[name].make((2, 3, 2, 2)))
+        FAMILIES[name].hamiltonian_cycle(FAMILIES[name].make((2, 3, 2, 2)))
 
 
 def test_corrupted_incidence_fails_under_optimize(tmp_path):

@@ -93,8 +93,8 @@ def test_ext_preserves_rationals():
 
 def test_write_dot():
     g = grlex_graph(make_grlex((2, 2, 2)))
-    dot = write_dot(g, name="grlex")
-    assert dot.startswith("graph grlex {")
+    dot = write_dot(g)
+    assert dot.startswith("graph G {")
     assert '"theta";' in dot
     assert dot.count("--") == g.edge_count()
     # undirected edges are not emitted twice; 0 and theta never share a

@@ -380,11 +380,17 @@ def test_coloring_relaxed_on_merged(theta):
     assert used >= len(theta)  # the d-clique survives contraction
 
 
-def test_coloring_relaxed_builds_no_second_instance():
+def test_coloring_relaxed_builds_no_second_instance(monkeypatch):
     # the strict scheme depends on d alone, so no strict twin is built
-    grlex_edges.cache_clear()
-    _, used = grlex_coloring_relaxed(make_grlex((2, 1, 2, 1, 1)))
-    assert used == 5 and grlex_edges.cache_info().currsize == 1
+    from dantzigfig import grlex_family
+
+    built = []
+    monkeypatch.setattr(
+        grlex_family, "grlex_edges", lambda inst: built.append(inst) or grlex_edges(inst)
+    )
+    inst = make_grlex((2, 1, 2, 1, 1))
+    _, used = grlex_coloring_relaxed(inst)
+    assert used == 5 and built == [inst]
 
 
 def test_coloring_relaxed_raises_when_search_fails(monkeypatch):
@@ -416,7 +422,3 @@ def test_expansion_witness_ratio_one_large_d(d):
     s, boundary = grlex_expansion_witness(inst)
     assert boundary == len(s) == d
 
-
-def test_cached_instances_are_shared():
-    a = make_grlex((2, 2, 2))
-    assert grlex_vertices(a) is grlex_vertices(BASE)

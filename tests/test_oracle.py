@@ -801,7 +801,6 @@ def dd_outcome(route, h):
 
 
 def assert_lexmin_matches_row_order(h):
-    oracle._extreme_rays.cache_clear()
     ours = dd_outcome(oracle._extreme_rays, h)
     assert ours == dd_outcome(extreme_rays_in_row_order, h)
     return ours

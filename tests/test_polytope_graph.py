@@ -23,7 +23,7 @@ from dantzigfig.polytope_graph import (
     verify_hamiltonian,
 )
 from dantzigfig.polytope_core import IncidenceMatrix
-from referees import eccentricities_by_bfs
+from referees import coloring_search_by_recursion, eccentricities_by_bfs
 
 
 def complete_graph(n):
@@ -154,6 +154,27 @@ def test_proper_coloring_search():
     col = proper_coloring_search(cycle_graph(5), 3)
     assert col and verify_coloring(cycle_graph(5), col) == (True, 3)
     assert proper_coloring_search(complete_graph(4), 3) is None
+
+
+def test_coloring_search_is_not_bounded_by_the_recursion_limit():
+    g = path_graph(3000)
+    col = proper_coloring_search(g, 2)
+    assert col and verify_coloring(g, col) == (True, 2)
+    assert proper_coloring_search(PolytopeGraph.from_edges([], []), 1) == {}
+
+
+def test_coloring_search_matches_the_recursive_search():
+    # the same colorings, and None alike, so every visit comes in the same order
+    rng = random.Random(2024)
+    graphs = [complete_graph(5), cycle_graph(7), path_graph(9)]
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        labels = list(range(n))
+        edges = [(i, j) for i in labels for j in labels[i + 1 :] if rng.random() < 0.45]
+        graphs.append(PolytopeGraph.from_edges(labels, edges))
+    for g in graphs:
+        for k in range(1, 6):
+            assert proper_coloring_search(g, k) == coloring_search_by_recursion(g, k)
 
 
 def test_expansion_k4_frozen():

@@ -1,8 +1,8 @@
 """Every function defined in `src/dantzigfig` is run by some CLI call.
 
-The calls below run in-process under `sys.setprofile`, after the package's
-memo caches are emptied, so that a result another test cached does not hide
-the code that builds it. Every function and method defined in the package
+The calls below run in-process under `sys.setprofile`, after the rank memo
+(the package's one cache that outlives a call) is emptied, so that a rank
+another test left there does not hide the code that computes it. Every function and method defined in the package
 (found by parsing its modules, nested functions included) must be entered,
 except the names in ALLOWED, each with the reason it stays. A function that
 no call reaches and that no reason covers is dead code: delete it, or give
@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 import dantzigfig
-from dantzigfig import cli
+from dantzigfig import cli, exactmath
 
 PACKAGE = Path(dantzigfig.__file__).resolve().parent
 
@@ -40,7 +40,6 @@ ALLOWED = {
     "tuple subclass",
     "polytope_graph.ExpansionResult.__eq__": "the tests compare the exact "
     "expansion with their brute-force referee",
-    "polytope_graph.cut_edges": "scripts/expansion_scan.py imports it",
     "exactmath.invert": "perfbench/traced_call.py wraps it, and it is the "
     "tests' inverse referee",
     "oracle.enumerate_segment": "the tests' segment referee, which "
@@ -96,14 +95,6 @@ def _defined_functions():
     return out
 
 
-def _clear_caches():
-    for name, module in list(sys.modules.items()):
-        if name == "dantzigfig" or name.startswith("dantzigfig."):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
-
-
 def _entered_code():
     entered = set()
 
@@ -111,7 +102,7 @@ def _entered_code():
         if event == "call":
             entered.add(frame.f_code)
 
-    _clear_caches()
+    exactmath._reduced_rank.cache_clear()
     codes = []
     sys.setprofile(profile)
     try:
