@@ -3,12 +3,11 @@
 
 For each d up to --exhaustive-to (default 7, n = 29 vertices) this finds
 the exact minimum of |bd(S)|/|S| over all vertex subsets, by the branch
-and bound of `edge_expansion_exact` with its vertex cap lifted, and
-reports it with a witness set. d = 8 (n = 37) is reachable on request:
-`--exhaustive-to 8` gives grevlex h = 17/6 in about 10 s on a 2-vCPU
-Xeon VM, so no test runs it. Past --exhaustive-to the scan checks the
-closed-form witness of each family that has one (grlex, whose ratio is
-always exactly 1).
+and bound of `edge_expansion_exact`, and reports it with a witness set.
+d = 8 (n = 37) is reachable on request: `--exhaustive-to 8` gives grevlex
+h = 17/6 in about 10 s on a 2-vCPU Xeon VM, so no test runs it. Past
+--exhaustive-to the scan checks the closed-form witness of each family
+that has one (grlex, whose ratio is always exactly 1).
 
 Usage:
     python3 scripts/expansion_scan.py --exhaustive-to 7 --witness-to 9
@@ -25,7 +24,7 @@ def scan_exhaustive(d):
     for family, fam in FAMILIES.items():
         graph = fam.graph(fam.make((2,) * d))
         started = time.perf_counter()
-        result = edge_expansion_exact(graph, max_vertices=len(graph))
+        result = edge_expansion_exact(graph)
         elapsed = time.perf_counter() - started
         witness = ",".join(sorted(str(x) for x in result.witness))
         print(

@@ -101,7 +101,7 @@ def _suite_facets(fam, inst, budget) -> dict:
     rows_ok = len(h.normals) == 2 * d
     grading_ok = h.normals[-1] == (1,) * d and h.rhs[-1] == inst.b
     monotone = all(fam.normal_ok(h.normals[d + r], r) for r in range(d))
-    irredundant = all(row["changed"] for row in oracle.facet_irredundancy(h))
+    irredundant = all(oracle.facet_irredundancy(h))
     return {
         "passed": rows_ok and grading_ok and monotone and irredundant,
         "details": {
@@ -176,12 +176,15 @@ def _suite_graph(fam, inst, budget) -> dict:
     }
 
 
-def _suite_expansion(fam, inst, budget) -> dict:
-    graph = fam.graph(inst)
-    cap = budget["expansion_max_n"]
+def _exact_expansion(graph, cap: int) -> pg.ExpansionResult:
+    """The exact expansion of graph; TooLarge past cap (--expansion-max-n)."""
     if len(graph) > cap:
         raise pg.TooLarge(f"{len(graph)} vertices exceeds --expansion-max-n {cap}")
-    result = pg.edge_expansion_exact(graph, max_vertices=cap)
+    return pg.edge_expansion_exact(graph)
+
+
+def _suite_expansion(fam, inst, budget) -> dict:
+    result = _exact_expansion(fam.graph(inst), budget["expansion_max_n"])
     details = {
         "h": result.value,
         "witness": [str(x) for x in result.witness],
@@ -375,15 +378,13 @@ def cmd_graph(args) -> int:
         "coloring": {str(lab): c for lab, c in coloring.items()},
         "colors": colors,
     }
-    if len(graph) <= args.expansion_max_n:
-        result = pg.edge_expansion_exact(graph, max_vertices=args.expansion_max_n)
+    try:
+        result = _exact_expansion(graph, args.expansion_max_n)
         report["edge_expansion"] = result.value
         report["expansion_witness"] = [str(x) for x in result.witness]
-    else:
+    except pg.TooLarge as exc:
         report["edge_expansion"] = None
-        report["expansion_note"] = (
-            f"{len(graph)} vertices exceeds --expansion-max-n {args.expansion_max_n}"
-        )
+        report["expansion_note"] = str(exc)
     _write_out(formats.dump_report(report), args.out)
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Serialization: cdd-style .ine/.ext output, Graphviz DOT, and JSON helpers.
+"""Serialization: cdd-style .ine/.ext output, Graphviz DOT, and JSON reports.
 
 The .ine convention is the usual one: a row "b -a1 ... -ad" encodes the
 inequality a.x <= b. Numbers are integers or p/q rationals. Labels do not
@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .polytope_core import FacetId, HRep, VertexLabel
+from .polytope_core import HRep
 
 
 def _num(x) -> str:
@@ -50,26 +50,15 @@ def write_dot(graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def jsonable(obj):
-    """Recursively convert report values to plain JSON types.
-
-    Fractions become ints when integral, else "p/q" strings; labels and
-    facet ids use their str form; sets are sorted.
-    """
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, float, str)):
-        return obj
+def _fraction(obj):
+    """json.dumps hook: a Fraction as an int when integral, else "p/q";
+    TypeError on anything else json cannot write."""
     if isinstance(obj, Fraction):
         return obj.numerator if obj.denominator == 1 else _num(obj)
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (VertexLabel, FacetId)):  # tuples, but printed as names
-        return str(obj)
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(x) for x in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(jsonable(x) for x in obj)
-    return str(obj)
+    raise TypeError(f"not JSON serializable: {obj!r}")
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
+    """report as indented JSON, keys sorted. Labels and facet ids must
+    already be strings: json would write them as arrays."""
+    return json.dumps(report, default=_fraction, indent=2, sort_keys=True) + "\n"

@@ -103,10 +103,6 @@ def grevlex_facet_matrix(inst: GrevlexInstance) -> IntRows:
 def _q(inst: GrevlexInstance, i: int, j: int) -> int:
     # q(i,j) = theta_i * theta_j * prod_{k=i+1..j-1} (theta_k + 1), j > i
     th = inst.theta
-    if j < i:
-        return 1
-    if j == i:
-        return th[i - 1]
     return th[i - 1] * th[j - 1] * prod(th[k - 1] + 1 for k in range(i + 1, j))
 
 

@@ -15,7 +15,6 @@ tests' referee for the pieces.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import comb
@@ -287,8 +286,8 @@ def verify_hull_equivalence(kind: OrderKind, theta, h: HRep, v: VRep) -> dict:
     return report
 
 
-def facet_irredundancy(h: HRep) -> list[dict]:
-    """Per-row evidence that dropping the row changes the polytope.
+def facet_irredundancy(h: HRep) -> list[bool]:
+    """Per row, whether dropping it changes the polytope.
 
     One double-description run gives the complete vertex list with the tight
     rows of each, so a row is needed iff facet_spans_ridge holds: its tight
@@ -301,13 +300,4 @@ def facet_irredundancy(h: HRep) -> list[dict]:
     inc = IncidenceMatrix(range(len(rays)), range(len(h)), [z >> 1 for _, z in rays])
     if not rays or (1 << len(rays)) - 1 in inc.facet_masks:
         raise NotFullDimensional(f"{len(rays)} vertices, not full-dimensional")
-    copies = Counter(h.rows())
-    out = []
-    for i, row in enumerate(h.rows()):
-        changed = facet_spans_ridge(inc, i)
-        tight = inc.facet_masks[i].bit_count()
-        evidence = f"{tight} tight vertices, {'' if changed else 'not '}a facet"
-        if copies[row] > 1:
-            evidence = f"one of {copies[row]} equal rows"
-        out.append({"row": i, "changed": changed, "evidence": evidence})
-    return out
+    return [facet_spans_ridge(inc, i) for i in range(len(h))]

@@ -12,6 +12,7 @@ functions that read the incidence of (h, v) take it as `inc`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter, mul
@@ -320,20 +321,6 @@ class IncidenceMatrix:
     def facet_vertex_counts(self) -> list[int]:
         return [fm.bit_count() for fm in self.facet_masks]
 
-    def same_bits(self, other: "IncidenceMatrix") -> bool:
-        """Bit-for-bit equality under canonical (label, facet-id) alignment."""
-        if sorted(map(str, self.labels)) != sorted(map(str, other.labels)):
-            return False
-        if sorted(map(str, self.facet_ids)) != sorted(map(str, other.facet_ids)):
-            return False
-        def canon(inc):
-            vorder = sorted(range(len(inc.labels)), key=lambda i: str(inc.labels[i]))
-            forder = sorted(range(len(inc.facet_ids)), key=lambda f: str(inc.facet_ids[f]))
-            return [
-                tuple(inc.vertex_masks[i] >> f & 1 for f in forder) for i in vorder
-            ]
-        return canon(self) == canon(other)
-
 
 def incidence(h: HRep, v: VRep) -> IncidenceMatrix:
     """Numeric vertex-facet incidence from exact slack vectors.
@@ -462,14 +449,8 @@ def adjacency_from_incidence(inc: IncidenceMatrix, d: int) -> list[tuple]:
     return [(inc.labels[i], inc.labels[j]) for i in range(n) for j in _bits(adj[i] & -2 << i)]
 
 
-class TangentCone:
-    """Vertex cone: apex plus edge-direction generators."""
-
-    __slots__ = ("apex", "generators")
-
-    def __init__(self, apex: tuple[int, ...], generators: list[tuple[int, ...]]):
-        self.apex = apex
-        self.generators = generators
+TangentCone = namedtuple("TangentCone", "apex generators")
+TangentCone.__doc__ = "Vertex cone: apex plus edge-direction generators."
 
 
 def tangent_cone(v: VRep, label, inc: IncidenceMatrix) -> TangentCone:

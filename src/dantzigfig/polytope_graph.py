@@ -9,6 +9,7 @@ Fraction-valued result.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -19,7 +20,7 @@ class Disconnected(ValueError):
 
 
 class TooLarge(ValueError):
-    """Exhaustive subset enumeration refused beyond the vertex cap."""
+    """The exact expansion search refused past the CLI's vertex cap."""
 
 
 class LabelMismatch(ValueError):
@@ -147,17 +148,19 @@ def proper_coloring_search(graph: PolytopeGraph, max_colors: int):
     Vertices are colored in descending-degree order with simple forward
     checking; exact enough for graphs with a few dozen vertices. The search
     keeps an explicit stack, one entry per colored position, so its depth
-    is not bounded by the interpreter's recursion limit.
+    is not bounded by the interpreter's recursion limit, and the highest
+    color before each position, so a step does not rescan the positions
+    before it.
     """
     n = len(graph)
     order = sorted(range(n), key=lambda i: -graph.adj[i].bit_count())
     colors = [0] * n  # 0 = uncolored; colors are 1..max_colors
+    highest = [0] * (n + 1)  # per position, the highest color before it
 
     def candidates(pos: int):
         v = order[pos]
         banned = {colors[j] for j in _bits(graph.adj[v]) if colors[j]}
-        cap = min(max_colors, max((colors[order[q]] for q in range(pos)), default=0) + 1)
-        # symmetry break: at most one fresh color
+        cap = min(max_colors, highest[pos] + 1)  # symmetry break: at most one fresh color
         return iter([c for c in range(1, cap + 1) if c not in banned])
 
     untried = []  # per position so far, the colors it has not yet taken
@@ -168,6 +171,7 @@ def proper_coloring_search(graph: PolytopeGraph, max_colors: int):
         c = next(untried[pos], 0)
         colors[order[pos]] = c
         if c:
+            highest[pos + 1] = max(highest[pos], c)
             pos += 1
         else:  # no color left here: back to the previous position
             untried.pop()
@@ -177,33 +181,16 @@ def proper_coloring_search(graph: PolytopeGraph, max_colors: int):
     return {graph.labels[i]: colors[i] for i in range(n)}
 
 
-class ExpansionResult:
-    """Exact edge expansion h(G) with an achieving cut.
+ExpansionResult = namedtuple("ExpansionResult", "value witness boundary")
+ExpansionResult.__doc__ = """Exact edge expansion h(G) with an achieving cut.
 
-    value = |boundary(S)| / |S| minimized over 0 < |S| <= n/2; witness is
-    the achieving subset (sorted labels) and boundary its outgoing edge
-    count. No subset of size <= n/2 does better.
-    """
-
-    __slots__ = ("value", "witness", "boundary")
-
-    def __init__(self, value: Fraction, witness: tuple, boundary: int):
-        self.value = value
-        self.witness = witness
-        self.boundary = boundary
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not ExpansionResult:
-            return NotImplemented
-        return (self.value, self.witness, self.boundary) == (
-            other.value, other.witness, other.boundary
-        )
-
-    def __repr__(self) -> str:
-        return f"ExpansionResult({self.value!r}, {self.witness!r}, {self.boundary!r})"
+value = |boundary(S)| / |S| minimized over 0 < |S| <= n/2; witness is
+the achieving subset (sorted labels) and boundary its outgoing edge
+count. No subset of size <= n/2 does better.
+"""
 
 
-def edge_expansion_exact(graph: PolytopeGraph, max_vertices: int = 24) -> ExpansionResult:
+def edge_expansion_exact(graph: PolytopeGraph) -> ExpansionResult:
     """Exact edge expansion by branch and bound over anchored cuts.
 
     Every unordered bipartition is the subset S holding vertex 0; the
@@ -225,12 +212,10 @@ def edge_expansion_exact(graph: PolytopeGraph, max_vertices: int = 24) -> Expans
     min(|S|, n - |S|), then the lexicographically smallest sorted tuple
     of str(label), vertex index breaking ties between equal strings. Both
     are read from the smaller side, and from the side holding vertex 0 when
-    |S| = n/2. Raises TooLarge past max_vertices
-    (default 24).
+    |S| = n/2. The search is exponential in n, so callers cap n (the CLI
+    by --expansion-max-n).
     """
     n = len(graph)
-    if n > max_vertices:
-        raise TooLarge(f"{n} vertices exceeds cap {max_vertices}")
     if n < 2:
         raise ValueError("expansion needs at least 2 vertices")
     adj = graph.adj
@@ -340,10 +325,18 @@ def cut_edges(graph: PolytopeGraph, subset) -> list[tuple]:
 
 
 def combinatorially_equal(a, b) -> bool:
-    """Identical labeled incidence bits; raises LabelMismatch when the two
-    objects are not over the same label and facet-id names."""
-    if sorted(str(l) for l in a.labels) != sorted(str(l) for l in b.labels):
+    """Bit-for-bit equality of two incidences under canonical alignment:
+    vertices in str(label) order, facets in str(facet id) order. Raises
+    LabelMismatch when the two are not over the same label and facet-id
+    names."""
+    if sorted(map(str, a.labels)) != sorted(map(str, b.labels)):
         raise LabelMismatch("vertex label sets differ")
-    if sorted(str(f) for f in a.facet_ids) != sorted(str(f) for f in b.facet_ids):
+    if sorted(map(str, a.facet_ids)) != sorted(map(str, b.facet_ids)):
         raise LabelMismatch("facet id sets differ")
-    return a.same_bits(b)
+
+    def canon(inc):
+        vorder = sorted(range(len(inc.labels)), key=lambda i: str(inc.labels[i]))
+        forder = sorted(range(len(inc.facet_ids)), key=lambda f: str(inc.facet_ids[f]))
+        return [tuple(inc.vertex_masks[i] >> f & 1 for f in forder) for i in vorder]
+
+    return canon(a) == canon(b)

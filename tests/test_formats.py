@@ -1,13 +1,13 @@
-"""Text formats: .ine/.ext round trips, DOT output, JSON coercion."""
+"""Text formats: .ine/.ext round trips, DOT output, JSON reports."""
 
 import json
 from fractions import Fraction
 
 import pytest
 
-from dantzigfig.formats import dump_report, jsonable, write_dot, write_ext, write_ine
+from dantzigfig.formats import dump_report, write_dot, write_ext, write_ine
 from dantzigfig.grlex_family import grlex_graph, grlex_hrep, grlex_vertices, make_grlex
-from dantzigfig.polytope_core import FacetId, HRep, VRep, VertexLabel
+from dantzigfig.polytope_core import HRep, VRep
 from referees import FormatError, parse_ext, parse_ine
 
 F = Fraction
@@ -103,25 +103,13 @@ def test_write_dot():
     assert '"0" -- "theta";' not in dot and '"theta" -- "0";' not in dot
 
 
-def test_jsonable():
-    assert jsonable(F(4, 2)) == 2
-    assert jsonable(F(3, 7)) == "3/7"
-    assert jsonable({F(1, 2): {F(5)}}) == {"1/2": [5]}
-    assert jsonable((1, [True, None])) == [1, [True, None]]
-    assert jsonable(1.5) == 1.5
-    # objects with a str form fall back to it
-    assert jsonable(HRep([((1,), 1)]).ids) == jsonable(None)
-
-
-def test_dump_report_prints_labels_and_facet_ids_by_name():
-    u4, v12 = VertexLabel.u(4), VertexLabel.v(1, 2)
-    report = {"label": u4, "facet": FacetId.nontrivial(v12), "pair": (u4, v12), "set": {v12}}
-    assert json.loads(dump_report(report)) == {
-        "label": "u(4)",
-        "facet": "missing[v(1,2)]",
-        "pair": ["u(4)", "v(1,2)"],
-        "set": ["v(1,2)"],
-    }
+def test_dump_report_writes_fractions_and_refuses_the_rest():
+    report = {"whole": F(4, 2), "ratio": F(3, 7), "negative": F(-1, 2)}
+    assert json.loads(dump_report(report)) == {"whole": 2, "ratio": "3/7", "negative": "-1/2"}
+    with pytest.raises(TypeError):
+        dump_report({"set": {1, 2}})
+    with pytest.raises(TypeError):
+        dump_report({"rows": HRep([((1,), 1)])})
 
 
 def test_dump_report_is_valid_json():

@@ -36,6 +36,7 @@ from dantzigfig.polytope_core import (
     list_antipodal_pairs,
     tangent_cone,
 )
+from dantzigfig.polytope_graph import combinatorially_equal
 from referees import adjacency_by_masks, adjacency_by_rank, antipodal_pairs_by_xor
 from referees import tangent_generators_by_masks
 
@@ -381,7 +382,7 @@ def test_dantzig_hrep_rejects_non_simplicial():
         dantzig_hrep(apex_cone, base_cone)
 
 
-def test_incidence_same_bits_alignment():
+def test_incidence_combinatorially_equal_alignment():
     ids = ["left", "bottom", "right", "top"]
     rows = [((-1, 0), 0), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1)]
     v = VRep([("00", (0, 0)), ("10", (1, 0)), ("01", (0, 1)), ("11", (1, 1))])
@@ -391,12 +392,12 @@ def test_incidence_same_bits_alignment():
     h2 = HRep([rows[i] for i in perm], [ids[i] for i in perm])
     v2 = VRep([v.entries[i] for i in (3, 1, 0, 2)])
     inc2 = incidence(h2, v2)
-    assert inc.same_bits(inc2)
+    assert combinatorially_equal(inc, inc2)
     # flipping one bit must break equality
     broken = IncidenceMatrix(
         inc2.labels, inc2.facet_ids, [inc2.vertex_masks[0] ^ 1] + inc2.vertex_masks[1:]
     )
-    assert not inc.same_bits(broken)
+    assert not combinatorially_equal(inc, broken)
 
 
 @pytest.mark.parametrize("make", [make_grlex, make_grevlex])

@@ -12,7 +12,6 @@ from dantzigfig.polytope_graph import (
     Disconnected,
     LabelMismatch,
     PolytopeGraph,
-    TooLarge,
     combinatorially_equal,
     cut_edges,
     eccentricities,
@@ -216,13 +215,9 @@ def test_expansion_witness_with_labels_sharing_a_str():
     assert cut_edges(g, result.witness) == []
 
 
-def test_expansion_too_large():
-    with pytest.raises(TooLarge):
-        edge_expansion_exact(cycle_graph(25))
-    # explicit cap override: tighten instead of enlarging
-    with pytest.raises(TooLarge):
-        edge_expansion_exact(cycle_graph(8), max_vertices=6)
-    result = edge_expansion_exact(cycle_graph(8), max_vertices=8)
+def test_expansion_cycle_of_eight():
+    # the search takes no cap: the CLI's --expansion-max-n is tested in test_cli
+    result = edge_expansion_exact(cycle_graph(8))
     assert result.value == Fraction(2, 4)
 
 

@@ -12,6 +12,10 @@ so the list shrinks when the code does.
 Likewise every name in a class's `__slots__` must be read: some attribute
 load in the package (`x.name`, found by parsing) names it. A slot that is
 only stored is a field that no code consults.
+
+The same calls also check what `formats.dump_report` is given: it converts
+only Fractions, so a label, facet id, set or non-str key in a report is a
+fault of the command that built it.
 """
 
 import ast
@@ -21,7 +25,8 @@ import sys
 from pathlib import Path
 
 import dantzigfig
-from dantzigfig import cli, exactmath
+from dantzigfig import cli, exactmath, formats
+from dantzigfig.polytope_core import FacetId, VertexLabel
 
 PACKAGE = Path(dantzigfig.__file__).resolve().parent
 
@@ -33,13 +38,10 @@ ALLOWED = {
     "polytope_core.FacetId.__repr__": "a repr, for debugging",
     "polytope_core.HRep.__repr__": "a repr, for debugging",
     "polytope_core.VRep.__repr__": "a repr, for debugging",
-    "polytope_graph.ExpansionResult.__repr__": "a repr, for debugging",
     "polytope_core.VertexLabel.__getnewargs__": "the copy and pickle hook of a "
     "tuple subclass",
     "polytope_core.FacetId.__getnewargs__": "the copy and pickle hook of a "
     "tuple subclass",
-    "polytope_graph.ExpansionResult.__eq__": "the tests compare the exact "
-    "expansion with their brute-force referee",
     "exactmath.invert": "perfbench/traced_call.py wraps it, and it is the "
     "tests' inverse referee",
     "oracle.enumerate_segment": "the tests' segment referee, which "
@@ -125,6 +127,38 @@ def test_every_function_is_reached_or_allowed():
     assert sorted(set(ALLOWED) - names) == [], "allowed names that no longer exist"
     assert sorted(set(ALLOWED) & reached) == [], "allowed names that a call now reaches"
     assert sorted(names - reached - set(ALLOWED)) == [], "functions no call reaches"
+
+
+def _json_faults(value, path="report"):
+    """Where value holds what formats.dump_report must not get: a label or
+    facet id (a tuple, which json would silently write as an array), a set,
+    or a dict key that is not a str."""
+    if isinstance(value, (VertexLabel, FacetId, set, frozenset)):
+        return [f"{path}: {type(value).__name__} {value!r}"]
+    if isinstance(value, dict):
+        faults = [f"{path}: key {k!r}" for k in value if type(k) is not str]
+        for k, v in value.items():
+            faults += _json_faults(v, f"{path}[{k!r}]")
+        return faults
+    if isinstance(value, (list, tuple)):
+        return [f for i, v in enumerate(value) for f in _json_faults(v, f"{path}[{i}]")]
+    return []
+
+
+def test_reports_hold_only_json_values(monkeypatch):
+    reports = []
+    dump_report = formats.dump_report
+
+    def recorded(report):
+        reports.append(report)
+        return dump_report(report)
+
+    monkeypatch.setattr(formats, "dump_report", recorded)
+    for argv in _calls():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(list(argv)) == cli.EXIT_OK, argv
+    assert len(reports) > 20  # the json calls of every command
+    assert [f for report in reports for f in _json_faults(report)] == []
 
 
 def _slot_names():
